@@ -107,6 +107,27 @@ func Aggressive(bufferOps int) Config {
 		Predication: true, Modulo: true, BufferCapacity: bufferOps}
 }
 
+// Reference is the interpretation of an original program: its result
+// and the profile the profile-guided passes start from. It depends only
+// on the program, EntryArgs and MaxOps, not on the rest of the config,
+// so compiles of one program under several configs can share one.
+// Compiles only read it.
+type Reference struct {
+	Result *interp.Result
+	Prof   *profile.Profile
+}
+
+// RunReference interprets prog with cfg's EntryArgs and MaxOps.
+func RunReference(prog *ir.Program, cfg Config) (*Reference, error) {
+	prof := profile.New()
+	res, err := interp.Run(prog, interp.Options{Profile: prof,
+		EntryArgs: cfg.EntryArgs, MaxOps: cfg.MaxOps})
+	if err != nil {
+		return nil, err
+	}
+	return &Reference{Result: res, Prof: prof}, nil
+}
+
 // Compiled is a fully compiled program plus its reference behaviour.
 type Compiled struct {
 	Config Config
@@ -115,6 +136,7 @@ type Compiled struct {
 	// Prof is the profile of the transformed program.
 	Prof *profile.Profile
 	// Ref is the reference execution (interpreter, original program).
+	// Compiles that share a Reference share this pointer.
 	Ref *interp.Result
 	// TransformedIR is the post-transformation, pre-scheduling program
 	// (for predication statistics).
@@ -155,6 +177,17 @@ type PassStats struct {
 
 // Compile runs the full pipeline on (a clone of) prog.
 func Compile(prog *ir.Program, cfg Config) (*Compiled, error) {
+	return CompileWithReference(prog, cfg, func() (*Reference, error) {
+		return RunReference(prog, cfg)
+	})
+}
+
+// CompileWithReference is Compile with the reference execution of prog
+// supplied by ref, which is called once, inside the compile's
+// "reference-run" span. Callers compiling one program under several
+// configs pass a memoized ref, so the program is interpreted once and
+// the span shows the interpretation in whichever compile ran it.
+func CompileWithReference(prog *ir.Program, cfg Config, ref func() (*Reference, error)) (*Compiled, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Default()
 	}
@@ -202,14 +235,13 @@ func Compile(prog *ir.Program, cfg Config) (*Compiled, error) {
 
 	// Reference execution + initial profile on the original program.
 	sp := root.Child("reference-run")
-	prof0 := profile.New()
-	ref, err := interp.Run(prog, interp.Options{Profile: prof0,
-		EntryArgs: cfg.EntryArgs, MaxOps: cfg.MaxOps})
+	r, err := ref()
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: reference run: %w", cfg.Name, err)
 	}
-	c.Ref = ref
+	c.Ref = r.Result
+	prof0 := r.Prof
 
 	p := prog.Clone()
 	// Seed block weights from the original-program profile so the
@@ -323,7 +355,7 @@ func Compile(prog *ir.Program, cfg Config) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: transformed program run: %w", cfg.Name, err)
 	}
-	if tres.Ret != ref.Ret || !bytes.Equal(tres.Mem, ref.Mem) {
+	if tres.Ret != c.Ref.Ret || !bytes.Equal(tres.Mem, c.Ref.Mem) {
 		return nil, fmt.Errorf("%s: transformations changed program behaviour", cfg.Name)
 	}
 	prof1.ApplyWeights(p)

@@ -59,7 +59,7 @@ func (s *Suite) AblationBackend(benchName, backend string) ([]AblationRow, error
 			cfg.Predication = false
 			cfg.LoopTransforms = false
 		}
-		c, err := core.Compile(prog, cfg)
+		c, err := s.compileShared(benchName, prog, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", benchName, v, err)
 		}

@@ -48,6 +48,11 @@ type Cache struct {
 	mu       sync.Mutex
 	compiles map[string]*core.Compiled
 	runs     map[string]*Run
+	// refs holds one reference run per benchmark, shared read-only by
+	// every config's compile. It is keyed by benchmark name alone: the
+	// reference depends only on the program, EntryArgs and MaxOps, and
+	// the suite never sets EntryArgs or MaxOps.
+	refs map[string]*core.Reference
 }
 
 // NewCache creates an empty compile/run cache.
@@ -56,6 +61,7 @@ func NewCache() *Cache {
 		engine:   vliw.NewEngine(),
 		compiles: map[string]*core.Compiled{},
 		runs:     map[string]*Run{},
+		refs:     map[string]*core.Reference{},
 	}
 }
 
@@ -244,7 +250,7 @@ func (s *Suite) compiled(name, cfg string) (*core.Compiled, bench.Benchmark, err
 			return c, nil
 		}
 		s.metrics.CacheMiss()
-		c, err := core.Compile(b.Build(), config)
+		c, err := s.compileShared(name, b.Build(), config)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", name, cfg, err)
 		}
@@ -260,6 +266,46 @@ func (s *Suite) compiled(name, cfg string) (*core.Compiled, bench.Benchmark, err
 		s.metrics.CacheHit()
 	}
 	return v.(*core.Compiled), b, nil
+}
+
+// compileShared compiles benchmark name's program prog under config,
+// sharing the benchmark's memoized reference run.
+func (s *Suite) compileShared(name string, prog *ir.Program, config core.Config) (*core.Compiled, error) {
+	return core.CompileWithReference(prog, config, func() (*core.Reference, error) {
+		return s.reference(name, prog, config)
+	})
+}
+
+// reference returns the benchmark's memoized reference run, computing
+// it from prog on the first request. Concurrent first requests share
+// one interpretation through the singleflight group.
+func (s *Suite) reference(name string, prog *ir.Program, config core.Config) (*core.Reference, error) {
+	s.cc.mu.Lock()
+	r := s.cc.refs[name]
+	s.cc.mu.Unlock()
+	if r != nil {
+		return r, nil
+	}
+	v, _, err := s.cc.flight.Do("reference/"+name, func() (any, error) {
+		s.cc.mu.Lock()
+		r := s.cc.refs[name]
+		s.cc.mu.Unlock()
+		if r != nil {
+			return r, nil
+		}
+		r, err := core.RunReference(prog, config)
+		if err != nil {
+			return nil, err
+		}
+		s.cc.mu.Lock()
+		s.cc.refs[name] = r
+		s.cc.mu.Unlock()
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*core.Reference), nil
 }
 
 // Run is one verified simulation outcome.

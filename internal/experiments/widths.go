@@ -34,7 +34,7 @@ func (s *Suite) WidthSweep(benchName string) ([]WidthRow, error) {
 		cfg.Name = m.Name
 		cfg.Machine = m
 		cfg.Verify = s.verify
-		c, err := core.Compile(prog, cfg)
+		c, err := s.compileShared(benchName, prog, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", benchName, m.Name, err)
 		}

@@ -6,6 +6,7 @@
 package looptrans
 
 import (
+	"slices"
 	"sort"
 
 	"lpbuf/internal/ir"
@@ -48,68 +49,85 @@ func (l *Loop) BlockIDs() []ir.BlockID {
 	return out
 }
 
-// Dominators computes the immediate-dominator-free dominance sets with
-// the classic iterative bitvector algorithm. dom[b] contains every
-// block dominating b (including b).
-func Dominators(f *ir.Func) map[ir.BlockID]map[ir.BlockID]bool {
-	all := map[ir.BlockID]bool{}
-	for _, b := range f.Blocks {
-		all[b.ID] = true
+// DomSets holds the dominance sets of one function as dense bitsets,
+// one row of words per block, indexed by the block's position in
+// f.Blocks.
+type DomSets struct {
+	pos   map[ir.BlockID]int
+	words int
+	bits  []uint64
+}
+
+// row returns the dominator bitset of the block at position i.
+func (d *DomSets) row(i int) []uint64 { return d.bits[i*d.words : (i+1)*d.words] }
+
+// Dominates reports whether block a dominates block b (every block
+// dominates itself). Blocks outside the function dominate nothing and
+// are dominated by nothing.
+func (d *DomSets) Dominates(a, b ir.BlockID) bool {
+	ia, oka := d.pos[a]
+	ib, okb := d.pos[b]
+	return oka && okb && d.row(ib)[ia/64]&(1<<uint(ia%64)) != 0
+}
+
+// Dominators computes the dominance sets with the classic iterative
+// bitvector algorithm: the entry's set is itself, every other block's
+// starts full and shrinks to itself plus the intersection of its
+// predecessors' sets until nothing changes.
+func Dominators(f *ir.Func) *DomSets {
+	n := len(f.Blocks)
+	d := &DomSets{pos: make(map[ir.BlockID]int, n), words: (n + 63) / 64}
+	d.bits = make([]uint64, n*d.words)
+	for i, b := range f.Blocks {
+		d.pos[b.ID] = i
 	}
-	dom := map[ir.BlockID]map[ir.BlockID]bool{}
-	for _, b := range f.Blocks {
-		if b.ID == f.Entry {
-			dom[b.ID] = map[ir.BlockID]bool{b.ID: true}
-		} else {
-			s := map[ir.BlockID]bool{}
-			for id := range all {
-				s[id] = true
+	preds := make([][]int, n)
+	for i, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			if j, ok := d.pos[s]; ok {
+				preds[j] = append(preds[j], i)
 			}
-			dom[b.ID] = s
 		}
 	}
-	preds := f.Preds()
+	for i, b := range f.Blocks {
+		row := d.row(i)
+		if b.ID == f.Entry {
+			row[i/64] = 1 << uint(i%64)
+			continue
+		}
+		for w := range row {
+			row[w] = ^uint64(0)
+		}
+		if tail := n % 64; tail != 0 {
+			row[len(row)-1] = 1<<uint(tail) - 1
+		}
+	}
+	inter := make([]uint64, d.words)
 	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
+		for i, b := range f.Blocks {
 			if b.ID == f.Entry {
 				continue
 			}
-			var inter map[ir.BlockID]bool
-			for _, p := range preds[b.ID] {
-				dp := dom[p]
-				if inter == nil {
-					inter = map[ir.BlockID]bool{}
-					for id := range dp {
-						inter[id] = true
-					}
-				} else {
-					for id := range inter {
-						if !dp[id] {
-							delete(inter, id)
-						}
-					}
+			clear(inter)
+			for k, p := range preds[i] {
+				dp := d.row(p)
+				if k == 0 {
+					copy(inter, dp)
+					continue
+				}
+				for w := range inter {
+					inter[w] &= dp[w]
 				}
 			}
-			if inter == nil {
-				inter = map[ir.BlockID]bool{}
-			}
-			inter[b.ID] = true
-			if len(inter) != len(dom[b.ID]) {
-				dom[b.ID] = inter
+			inter[i/64] |= 1 << uint(i%64)
+			if row := d.row(i); !slices.Equal(row, inter) {
+				copy(row, inter)
 				changed = true
-				continue
-			}
-			for id := range inter {
-				if !dom[b.ID][id] {
-					dom[b.ID] = inter
-					changed = true
-					break
-				}
 			}
 		}
 	}
-	return dom
+	return d
 }
 
 // FindLoops returns the function's natural loops with nesting
@@ -124,7 +142,7 @@ func FindLoops(f *ir.Func) []*Loop {
 	latches := map[ir.BlockID][]ir.BlockID{}
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			if dom[b.ID][s] {
+			if dom.Dominates(s, b.ID) {
 				latches[s] = append(latches[s], b.ID)
 			}
 		}

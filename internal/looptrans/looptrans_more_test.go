@@ -207,17 +207,17 @@ func TestDominators(t *testing.T) {
 	dom := Dominators(f)
 	// The entry dominates everything.
 	for _, b := range f.Blocks {
-		if !dom[b.ID][f.Entry] {
+		if !dom.Dominates(f.Entry, b.ID) {
 			t.Fatalf("entry does not dominate B%d", b.ID)
 		}
-		if !dom[b.ID][b.ID] {
+		if !dom.Dominates(b.ID, b.ID) {
 			t.Fatalf("B%d does not dominate itself", b.ID)
 		}
 	}
 	// The inner loop's block is dominated by the outer header.
 	loops := FindLoops(f)
 	inner, outer := loops[0], loops[1]
-	if !dom[inner.Header][outer.Header] {
+	if !dom.Dominates(outer.Header, inner.Header) {
 		t.Fatal("outer header should dominate the inner header")
 	}
 }

@@ -214,19 +214,12 @@ type Snapshot struct {
 
 // Snapshot copies the counters. Job records are sorted by key so the
 // artifact diffs cleanly across runs regardless of completion order.
-// Safe to call while jobs are running: the scalar counters are atomic
-// registry reads and the job/kind tables are copied under the mutex.
+// Safe to call while jobs are running: the job/kind tables are copied
+// under the mutex first, and the atomic counters are read after. Since
+// jobDone increments jobs_run before it appends the job's record, a
+// mid-run snapshot never reports more records than jobs run.
 func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		JobsRun:      m.jobsRun.Value(),
-		JobsFailed:   m.jobsFailed.Value(),
-		Retries:      m.retries.Value(),
-		CacheHits:    m.cacheHits.Value(),
-		CacheMisses:  m.cacheMisses.Value(),
-		RunHits:      m.runHits.Value(),
-		RunMisses:    m.runMisses.Value(),
-		PeakInFlight: int(m.peak.Value()),
-	}
+	var s Snapshot
 	m.mu.Lock()
 	s.InFlight = m.inFlight
 	s.QueueDepth = m.queued
@@ -239,6 +232,14 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	s.Jobs = append([]JobRecord(nil), m.jobs...)
 	m.mu.Unlock()
+	s.JobsRun = m.jobsRun.Value()
+	s.JobsFailed = m.jobsFailed.Value()
+	s.Retries = m.retries.Value()
+	s.CacheHits = m.cacheHits.Value()
+	s.CacheMisses = m.cacheMisses.Value()
+	s.RunHits = m.runHits.Value()
+	s.RunMisses = m.runMisses.Value()
+	s.PeakInFlight = int(m.peak.Value())
 	sort.Slice(s.Jobs, func(i, j int) bool {
 		if s.Jobs[i].Key != s.Jobs[j].Key {
 			return s.Jobs[i].Key < s.Jobs[j].Key

@@ -79,23 +79,39 @@ var recurrenceLoop = loopBuilder{
 // wideLoop is bound by the three memory slots: 12 independent word
 // accesses per iteration => minimal II 4, while the heuristic IMS
 // settles at 5, so reaching 4 requires actual search.
-var wideLoop = loopBuilder{
-	setup: func(f *irbuild.Func, inOff, outOff int64) []ir.Reg {
-		pin := f.Const(inOff)
-		pout := f.Const(outOff)
-		return []ir.Reg{pin, pout}
-	},
-	body: func(f *irbuild.Func, regs []ir.Reg) {
-		pin, pout := regs[0], regs[1]
-		for lane := 0; lane < 6; lane++ {
-			v := f.Reg()
-			f.LdW(v, pin, int64(4*lane))
-			f.AddI(v, v, int64(lane+1))
-			f.StW(pout, int64(4*lane), v)
-		}
-		f.AddI(pin, pin, 24)
-		f.AddI(pout, pout, 24)
-	},
+var wideLoop = resourceLoop(6, "a")
+
+// resourceLoop builds lanes independent load → op → store chains over
+// the three memory slots. Lane l's op follows mix[l%len(mix)]: 'a' an
+// add (ialu), 'm' a multiply (imul), 'x' an add then a xor (two ialu
+// ops in series).
+func resourceLoop(lanes int, mix string) loopBuilder {
+	return loopBuilder{
+		setup: func(f *irbuild.Func, inOff, outOff int64) []ir.Reg {
+			pin := f.Const(inOff)
+			pout := f.Const(outOff)
+			return []ir.Reg{pin, pout}
+		},
+		body: func(f *irbuild.Func, regs []ir.Reg) {
+			pin, pout := regs[0], regs[1]
+			for lane := 0; lane < lanes; lane++ {
+				v := f.Reg()
+				f.LdW(v, pin, int64(4*lane))
+				switch mix[lane%len(mix)] {
+				case 'a':
+					f.AddI(v, v, int64(lane+1))
+				case 'm':
+					f.MulI(v, v, int64(lane+3))
+				case 'x':
+					f.AddI(v, v, int64(lane+1))
+					f.XorI(v, v, int64(lane+5))
+				}
+				f.StW(pout, int64(4*lane), v)
+			}
+			f.AddI(pin, pin, int64(4*lanes))
+			f.AddI(pout, pout, int64(4*lanes))
+		},
+	}
 }
 
 // checkKernel asserts the schedule satisfies every DAG constraint and

@@ -1,6 +1,7 @@
 package optimal
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -92,7 +93,10 @@ type solver struct {
 	nodes    int64
 	dead     bool // budget or deadline exhausted
 
-	bf      []int // Bellman-Ford stage scratch
+	// bf holds the stage potentials of the last bfFeasible call; after
+	// a feasible call they are a fixpoint the next call starts from.
+	bf      []int
+	ew      []int // bfFeasible scratch: each edge's minimized weight
 	matchOp []int // matching scratch: slot -> op
 	visited []bool
 }
@@ -111,31 +115,16 @@ func ceilDiv(a, b int) int {
 	return a / b
 }
 
+// minBit and maxBit return the lowest and highest set bit of a row
+// domain, or -1 when it is empty.
 func minBit(m uint64) int {
-	for i := 0; i < 64; i++ {
-		if m&(1<<uint(i)) != 0 {
-			return i
-		}
+	if m == 0 {
+		return -1
 	}
-	return -1
+	return bits.TrailingZeros64(m)
 }
 
-func maxBit(m uint64) int {
-	for i := 63; i >= 0; i-- {
-		if m&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-func popcount(m uint64) int {
-	c := 0
-	for ; m != 0; m &= m - 1 {
-		c++
-	}
-	return c
-}
+func maxBit(m uint64) int { return bits.Len64(m) - 1 }
 
 // solveII searches for a kernel schedule at exactly the given II.
 func solveII(d *sched.DAG, m *machine.Desc, ii int, budget *int64, deadline time.Time) iiResult {
@@ -159,7 +148,8 @@ func solveII(d *sched.DAG, m *machine.Desc, ii int, budget *int64, deadline time
 		sv.row[i] = -1
 	}
 
-	// Deterministic edge list (DAG adjacency comes from a map).
+	// Deterministic edge list, sorted by source: bfFeasible reads each
+	// op's out-edges as one run.
 	for i := range d.Ops {
 		for _, e := range d.Succs[i] {
 			sv.edges = append(sv.edges, edge{from: i, to: e.To, w: e.Lat - ii*e.Dist})
@@ -188,6 +178,7 @@ func solveII(d *sched.DAG, m *machine.Desc, ii int, budget *int64, deadline time
 		kept = append(kept, e)
 	}
 	sv.edges = kept
+	sv.ew = make([]int, len(kept))
 
 	// Index 2-cycles for pairwise filtering.
 	sv.twoCyc = make([][]pairCycle, n)
@@ -266,7 +257,7 @@ func (sv *solver) search() bool {
 		if sv.row[i] >= 0 {
 			continue
 		}
-		c := popcount(sv.dom[i])
+		c := bits.OnesCount64(sv.dom[i])
 		if c < best || (c == best && sv.d.Height[i] > sv.d.Height[op]) {
 			op, best = i, c
 		}
@@ -276,6 +267,8 @@ func (sv *solver) search() bool {
 	}
 
 	domSave := make([]uint64, sv.n)
+	// Every child starts Bellman-Ford from this node's potentials.
+	bfSave := append([]int(nil), sv.bf...)
 	for r := 0; r < sv.ii; r++ {
 		if sv.dom[op]&(1<<uint(r)) == 0 {
 			continue
@@ -291,6 +284,7 @@ func (sv *solver) search() bool {
 		}
 
 		copy(domSave, sv.dom)
+		copy(sv.bf, bfSave)
 		sv.row[op] = r
 		sv.dom[op] = 1 << uint(r)
 		sv.rows[r] = append(sv.rows[r], op)
@@ -312,12 +306,19 @@ func (sv *solver) search() bool {
 // no completion); completeness comes from the search itself.
 func (sv *solver) propagate(op, r int) bool {
 	// Resource filtering: only row r gained an occupant, so only the
-	// r-bit of unassigned domains can change.
+	// r-bit of unassigned domains can change. Whether row r can take
+	// one more op depends only on that op's unit class, so the matching
+	// runs once per class.
+	var tested, fits [machine.NumUnitClasses]bool
 	for i := 0; i < sv.n; i++ {
 		if sv.row[i] >= 0 || sv.dom[i]&(1<<uint(r)) == 0 {
 			continue
 		}
-		if !sv.rowFeasibleWith(r, i) {
+		c := sv.cls[i]
+		if !tested[c] {
+			tested[c], fits[c] = true, sv.rowFeasibleWith(r, i)
+		}
+		if !fits[c] {
 			sv.dom[i] &^= 1 << uint(r)
 			if sv.dom[i] == 0 {
 				return false
@@ -362,22 +363,53 @@ func (sv *solver) wmin(e edge) int {
 }
 
 // bfFeasible decides whether the stage difference system with
-// minimized weights admits a solution: Bellman-Ford longest paths from
-// an implicit all-zeros source; a relaxation still firing after n full
-// passes proves a positive-weight cycle, i.e. infeasibility. With all
-// rows assigned the weights are exact and this is a complete decision
-// procedure for the II.
+// minimized weights admits a solution: Bellman-Ford longest paths; a
+// relaxation still firing after n full passes proves a positive-weight
+// cycle, i.e. infeasibility. With all rows assigned the weights are
+// exact and this is a complete decision procedure for the II.
+//
+// The potentials start from sv.bf, which search sets to the parent
+// node's fixpoint. The verdict does not depend on the start. Every
+// potential is a start value plus the weight of a walk. Without a
+// positive cycle a walk weighs no more than the simple path left after
+// cutting its cycles, so n-1 passes reach the fixpoint; with one there
+// is no fixpoint. Domains only shrink down the tree, so weights only
+// grow and the parent's fixpoint is already a lower bound on the
+// child's: a feasible child needs a pass or two.
+//
+// The same walk argument ends an infeasible call early. A simple path
+// leaves each op at most once, so it weighs at most the sum of each
+// op's heaviest positive out-edge. A potential above the largest start
+// value plus that sum must come from a positive cycle.
 func (sv *solver) bfFeasible() bool {
-	s := sv.bf
-	for i := range s {
-		s[i] = 0
+	// Domains do not change during the call: minimize each edge's
+	// weight once, not once per pass, and sum the heaviest positive
+	// out-edge of each op (edges are sorted by source).
+	w := sv.ew
+	pathMax, from, heaviest := 0, -1, 0
+	for k, e := range sv.edges {
+		w[k] = sv.wmin(e)
+		if e.from != from {
+			pathMax += heaviest
+			from, heaviest = e.from, 0
+		}
+		heaviest = max(heaviest, w[k])
 	}
+	pathMax += heaviest
+	s := sv.bf
+	limit := 0
+	for _, v := range s {
+		limit = max(limit, v)
+	}
+	limit += pathMax
 	for pass := 0; pass <= sv.n; pass++ {
 		changed := false
-		for _, e := range sv.edges {
-			w := sv.wmin(e)
-			if s[e.to] < s[e.from]+w {
-				s[e.to] = s[e.from] + w
+		for k, e := range sv.edges {
+			if v := s[e.from] + w[k]; s[e.to] < v {
+				if v > limit {
+					return false
+				}
+				s[e.to] = v
 				changed = true
 			}
 		}
