@@ -5,9 +5,9 @@
 // (Figure 5), and the headline aggregates. It can also run a single
 // benchmark and print its statistics.
 //
-// Experiments execute through the internal/runner job scheduler:
-// compiles and simulations fan out across a bounded worker pool
-// (default GOMAXPROCS, -par N to override) with singleflight caching,
+// Experiments execute as internal/runner parallel loops: each figure's
+// per-benchmark compile and simulate jobs spread across a bounded
+// worker pool (default GOMAXPROCS, -par N to override) over one memo,
 // so no (benchmark, config) pair ever compiles twice. The rendered
 // tables are byte-identical at any parallelism.
 //

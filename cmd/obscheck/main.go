@@ -334,7 +334,8 @@ func checkMetrics(path string) error {
 		return fmt.Errorf("sim.runs = %d, want > 0", dump.Registry.Counters["sim.runs"])
 	}
 	// The runner section is always present; jobs_run may be 0 when the
-	// invocation used the suite's direct path rather than the job DAG.
+	// invocation ran only paths that record no jobs (-bench, -dump,
+	// -ablate, -widths).
 	if dump.Runner == nil {
 		return fmt.Errorf("missing runner section")
 	}

@@ -70,12 +70,8 @@ func (s *Suite) AblationBackend(benchName, backend string) ([]AblationRow, error
 		if err := b.Check(res.Mem); err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", benchName, v, err)
 		}
-		static := 0
-		for _, fc := range c.Code.Funcs {
-			static += fc.OpCount()
-		}
 		rows = append(rows, AblationRow{Variant: v, Cycles: res.Stats.Cycles,
-			BufferRatio: res.Stats.BufferIssueRatio(), StaticOps: static})
+			BufferRatio: res.Stats.BufferIssueRatio(), StaticOps: staticOps(c)})
 	}
 	return rows, nil
 }

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"lpbuf/internal/core"
 	"lpbuf/internal/predicate"
+	"lpbuf/internal/runner"
 )
 
 // EncodingRow quantifies Section 4's encoding argument for one
@@ -30,41 +33,54 @@ type EncodingRow struct {
 const guardFieldBits = 3
 
 // EncodingCosts compares code size under full vs slot-based
-// predication encodings.
+// predication encodings, one task per benchmark: the aggressive
+// compile job, then the analysis job.
 func (s *Suite) EncodingCosts() ([]EncodingRow, error) {
-	var rows []EncodingRow
-	for _, name := range Benchmarks() {
-		c, _, err := s.compiled(name, "aggressive")
+	names := Benchmarks()
+	rows := make([]EncodingRow, len(names))
+	err := s.run.Each(context.Background(), len(names), func(i int) error {
+		c, err := s.compileJob(names[i], "aggressive")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		row := EncodingRow{Bench: name}
-		for _, fname := range c.Code.Prog.Order {
-			fc := c.Code.Funcs[fname]
-			for _, sec := range fc.Sections {
-				var sops []predicate.SchedOp
-				for ci, bun := range sec.Bundles {
-					for _, so := range bun.Ops {
-						row.StaticOps++
-						if so.Op.Guard != 0 {
-							row.Guarded++
-						}
-						sops = append(sops, predicate.SchedOp{Op: so.Op, Cycle: ci, Slot: so.Slot})
-					}
-				}
-				if isLoopSection(fc, sec) {
-					bind := predicate.BindSlots(dedupe(sops, sec), 8)
-					row.ReplicaDefines += bind.ExtraDefines
-				}
-			}
-		}
-		opBits := int64(c.Config.Machine.OpBits)
-		row.FullBits = int64(row.StaticOps) * (opBits + guardFieldBits)
-		row.SlotBits = int64(row.StaticOps)*(opBits+1) +
-			int64(row.ReplicaDefines)*(opBits+1)
-		rows = append(rows, row)
+		return s.run.Job(runner.KindAnalyze, "analyze/encoding/"+names[i], func() error {
+			rows[i] = encodingRow(names[i], c)
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
+}
+
+// encodingRow measures one aggressive compile under both encodings.
+func encodingRow(name string, c *core.Compiled) EncodingRow {
+	row := EncodingRow{Bench: name}
+	for _, fname := range c.Code.Prog.Order {
+		fc := c.Code.Funcs[fname]
+		for _, sec := range fc.Sections {
+			var sops []predicate.SchedOp
+			for ci, bun := range sec.Bundles {
+				for _, so := range bun.Ops {
+					row.StaticOps++
+					if so.Op.Guard != 0 {
+						row.Guarded++
+					}
+					sops = append(sops, predicate.SchedOp{Op: so.Op, Cycle: ci, Slot: so.Slot})
+				}
+			}
+			if isLoopSection(fc, sec) {
+				bind := predicate.BindSlots(dedupe(sops, sec), 8)
+				row.ReplicaDefines += bind.ExtraDefines
+			}
+		}
+	}
+	opBits := int64(c.Config.Machine.OpBits)
+	row.FullBits = int64(row.StaticOps) * (opBits + guardFieldBits)
+	row.SlotBits = int64(row.StaticOps)*(opBits+1) +
+		int64(row.ReplicaDefines)*(opBits+1)
+	return row
 }
 
 // RenderEncoding formats the comparison.

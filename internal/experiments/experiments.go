@@ -31,38 +31,33 @@ import (
 var BufferSizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048}
 
 // Cache is the memoization layer behind one or more Suites: compiled
-// benchmarks and verified simulation results, fronted by a singleflight
-// group so each (benchmark, config) pair compiles at most once and each
-// (benchmark, config, buffer) triple simulates at most once per Cache,
-// no matter how many suites or figures request it concurrently. A
-// long-running service hands every job's Suite the same Cache, which is
-// what makes repeated and overlapping jobs cheap.
+// benchmarks, reference runs and verified simulation results, each in
+// a memo, so each (benchmark, config) pair compiles at most once and
+// each (benchmark, config, buffer) triple simulates at most once per
+// Cache, no matter how many suites or figures request it concurrently.
+// A long-running service hands every job's Suite the same Cache, which
+// is what makes repeated and overlapping jobs cheap.
 type Cache struct {
-	flight runner.Flight
-
 	// engine pools per-simulation scratch (activation frames, event
 	// batch buffers) across every batched sweep that runs through this
 	// Cache — in lpbufd, that is every job in the process.
 	engine *vliw.Engine
 
-	mu       sync.Mutex
-	compiles map[string]*core.Compiled
-	runs     map[string]*Run
+	compiles memo[string, *core.Compiled]
+	runs     memo[string, *Run]
+	// sweeps shares one batched simulation among concurrent identical
+	// RunSweepAt calls; its Runs also land in runs.
+	sweeps memo[string, []*Run]
 	// refs holds one reference run per benchmark, shared read-only by
 	// every config's compile. It is keyed by benchmark name alone: the
 	// reference depends only on the program, EntryArgs and MaxOps, and
 	// the suite never sets EntryArgs or MaxOps.
-	refs map[string]*core.Reference
+	refs memo[string, *core.Reference]
 }
 
 // NewCache creates an empty compile/run cache.
 func NewCache() *Cache {
-	return &Cache{
-		engine:   vliw.NewEngine(),
-		compiles: map[string]*core.Compiled{},
-		runs:     map[string]*Run{},
-		refs:     map[string]*core.Reference{},
-	}
+	return &Cache{engine: vliw.NewEngine()}
 }
 
 // Suite caches compiled benchmarks and verified simulation results
@@ -86,7 +81,8 @@ type Suite struct {
 
 // Options configures a Suite's execution subsystem.
 type Options struct {
-	// Workers bounds in-flight jobs; <=0 uses runtime.GOMAXPROCS(0).
+	// Workers bounds the figure tasks in flight; <=0 uses
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// OnEvent observes the runner's job event stream (progress log).
 	OnEvent func(runner.Event)
@@ -122,22 +118,16 @@ func New() *Suite {
 // worker bound and/or event observer.
 func NewWithOptions(o Options) *Suite {
 	m := runner.NewMetricsIn(o.Obs.Registry())
-	opts := []runner.Option{runner.WithMetrics(m)}
-	if o.Workers > 0 {
-		opts = append(opts, runner.WithWorkers(o.Workers))
-	}
-	if o.OnEvent != nil {
-		opts = append(opts, runner.WithObserver(o.OnEvent))
-	}
-	if o.Obs != nil && o.Obs.Trace != nil {
-		opts = append(opts, runner.WithTrace(o.Obs.Trace))
+	var trace *obs.Trace
+	if o.Obs != nil {
+		trace = o.Obs.Trace
 	}
 	cc := o.Cache
 	if cc == nil {
 		cc = NewCache()
 	}
 	return &Suite{
-		run:      runner.New(opts...),
+		run:      runner.New(o.Workers, m, o.OnEvent, trace),
 		metrics:  m,
 		verify:   o.Verify,
 		obs:      o.Obs,
@@ -185,9 +175,6 @@ func (s *Suite) SimProfiles() *pmu.Document {
 // split, cache hits/misses, peak in-flight).
 func (s *Suite) Metrics() runner.Snapshot { return s.metrics.Snapshot() }
 
-// Workers reports the suite's concurrency bound.
-func (s *Suite) Workers() int { return s.run.Workers() }
-
 // Benchmarks returns the Table 1 benchmark names in order.
 func Benchmarks() []string {
 	var names []string
@@ -197,10 +184,8 @@ func Benchmarks() []string {
 	return names
 }
 
-// compiled returns the cached compile of one benchmark/config.
-// Concurrent misses on the same key share one compile through the
-// singleflight group (the old check-then-compile let two goroutines
-// both miss and compile the same pair twice).
+// compiled returns the memoized compile of one benchmark/config;
+// concurrent first requests share one compile.
 func (s *Suite) compiled(name, cfg string) (*core.Compiled, bench.Benchmark, error) {
 	b, ok := suite.ByName(name)
 	if !ok {
@@ -232,80 +217,42 @@ func (s *Suite) compiled(name, cfg string) (*core.Compiled, bench.Benchmark, err
 	// vice versa — a verified artifact is fine but the hit would skip
 	// the checkpoints the caller asked for), so verify is in the key.
 	key := name + "/" + cfg + verifyKeySuffix(s.verify)
-	s.cc.mu.Lock()
-	c := s.cc.compiles[key]
-	s.cc.mu.Unlock()
-	if c != nil {
-		s.metrics.CacheHit()
-		return c, b, nil
-	}
-	v, shared, err := s.cc.flight.Do("compile/"+key, func() (any, error) {
-		// Re-check under the flight: a previous call may have filled the
-		// cache between our fast-path miss and this execution.
-		s.cc.mu.Lock()
-		c := s.cc.compiles[key]
-		s.cc.mu.Unlock()
-		if c != nil {
-			s.metrics.CacheHit()
-			return c, nil
-		}
+	c, hit, err := s.cc.compiles.get(key, func() (*core.Compiled, error) {
 		s.metrics.CacheMiss()
 		c, err := s.compileShared(name, b.Build(), config)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", name, cfg, err)
 		}
-		s.cc.mu.Lock()
-		s.cc.compiles[key] = c
-		s.cc.mu.Unlock()
 		return c, nil
 	})
 	if err != nil {
 		return nil, b, err
 	}
-	if shared {
+	if hit {
 		s.metrics.CacheHit()
 	}
-	return v.(*core.Compiled), b, nil
+	return c, b, nil
 }
 
 // compileShared compiles benchmark name's program prog under config,
 // sharing the benchmark's memoized reference run.
 func (s *Suite) compileShared(name string, prog *ir.Program, config core.Config) (*core.Compiled, error) {
 	return core.CompileWithReference(prog, config, func() (*core.Reference, error) {
-		return s.reference(name, prog, config)
+		r, _, err := s.cc.refs.get(name, func() (*core.Reference, error) {
+			return core.RunReference(prog, config)
+		})
+		return r, err
 	})
 }
 
-// reference returns the benchmark's memoized reference run, computing
-// it from prog on the first request. Concurrent first requests share
-// one interpretation through the singleflight group.
-func (s *Suite) reference(name string, prog *ir.Program, config core.Config) (*core.Reference, error) {
-	s.cc.mu.Lock()
-	r := s.cc.refs[name]
-	s.cc.mu.Unlock()
-	if r != nil {
-		return r, nil
-	}
-	v, _, err := s.cc.flight.Do("reference/"+name, func() (any, error) {
-		s.cc.mu.Lock()
-		r := s.cc.refs[name]
-		s.cc.mu.Unlock()
-		if r != nil {
-			return r, nil
-		}
-		r, err := core.RunReference(prog, config)
-		if err != nil {
-			return nil, err
-		}
-		s.cc.mu.Lock()
-		s.cc.refs[name] = r
-		s.cc.mu.Unlock()
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Reference), nil
+// simulating returns c set to report its simulations to this suite. A
+// memoized compile keeps the Obs and PMU of the suite that compiled
+// it; in lpbufd that suite may belong to a finished job whose registry
+// nothing folds any more.
+func (s *Suite) simulating(c *core.Compiled) *core.Compiled {
+	sc := *c
+	sc.Config.Obs, sc.Config.PMU = s.obs, s.pmu
+	return &sc
 }
 
 // Run is one verified simulation outcome.
@@ -323,47 +270,37 @@ type Run struct {
 	Profile *pmu.Profile
 }
 
+// staticOps is c's scheduled code size in operations.
+func staticOps(c *core.Compiled) int {
+	n := 0
+	for _, fc := range c.Code.Funcs {
+		n += fc.OpCount()
+	}
+	return n
+}
+
+// runKey keys one verified run in the Cache.
+func (s *Suite) runKey(name, cfg string, bufferOps int) string {
+	return fmt.Sprintf("%s/%s@%d%s", name, cfg, bufferOps, verifyKeySuffix(s.verify))
+}
+
 // RunAt compiles (cached), re-plans the buffer at the given capacity,
 // runs, verifies the output against both the interpreter reference and
 // the pure-Go reference, and reports the statistics. Results are
 // memoized: the simulator is deterministic, so each (benchmark,
-// config, buffer) triple is simulated and verified once per process,
-// with concurrent requests singleflighted.
+// config, buffer) triple is simulated and verified once per Cache,
+// with concurrent requests sharing one simulation.
 func (s *Suite) RunAt(name, cfg string, bufferOps int) (*Run, error) {
-	key := fmt.Sprintf("%s/%s@%d%s", name, cfg, bufferOps, verifyKeySuffix(s.verify))
-	s.cc.mu.Lock()
-	r := s.cc.runs[key]
-	s.cc.mu.Unlock()
-	if r != nil {
-		s.metrics.RunHit()
-		s.noteRuns(r)
-		return r, nil
-	}
-	v, shared, err := s.cc.flight.Do("run/"+key, func() (any, error) {
-		s.cc.mu.Lock()
-		r := s.cc.runs[key]
-		s.cc.mu.Unlock()
-		if r != nil {
-			s.metrics.RunHit()
-			return r, nil
-		}
+	r, hit, err := s.cc.runs.get(s.runKey(name, cfg, bufferOps), func() (*Run, error) {
 		s.metrics.RunMiss()
-		r, err := s.runUncached(name, cfg, bufferOps)
-		if err != nil {
-			return nil, err
-		}
-		s.cc.mu.Lock()
-		s.cc.runs[key] = r
-		s.cc.mu.Unlock()
-		return r, nil
+		return s.runUncached(name, cfg, bufferOps)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if shared {
+	if hit {
 		s.metrics.RunHit()
 	}
-	r = v.(*Run)
 	s.noteRuns(r)
 	return r, nil
 }
@@ -372,98 +309,72 @@ func (s *Suite) RunAt(name, cfg string, bufferOps int) (*Run, error) {
 // ONE batched simulation (core.RunSweep → vliw.RunBatch): the program
 // executes once and its statistics are accounted under every capacity,
 // so a Figure 7 sweep costs one simulation instead of len(sizes). The
-// per-size Runs land in the same memoization cache RunAt uses (sweep
-// stats are bit-identical to solo stats — the batch engine's
-// contract), so sweeps and point queries serve each other's hits.
-// Results come back in sizes order.
+// per-size Runs land in the same memo RunAt uses (sweep stats are
+// bit-identical to solo stats — the batch engine's contract), so
+// sweeps and point queries serve each other's hits; a sweep whose
+// every size is cached simulates nothing. Results come back in sizes
+// order.
 func (s *Suite) RunSweepAt(name, cfg string, sizes []int) ([]*Run, error) {
-	runKey := func(sz int) string {
-		return fmt.Sprintf("%s/%s@%d%s", name, cfg, sz, verifyKeySuffix(s.verify))
-	}
-	// collect serves the sweep entirely from cached runs, or reports a
-	// miss (nil) if any size is uncached.
-	collect := func() []*Run {
-		s.cc.mu.Lock()
-		defer s.cc.mu.Unlock()
-		out := make([]*Run, len(sizes))
-		for i, sz := range sizes {
-			r := s.cc.runs[runKey(sz)]
-			if r == nil {
-				return nil
-			}
-			out[i] = r
+	out := make([]*Run, len(sizes))
+	cached := true
+	for i, sz := range sizes {
+		if out[i], cached = s.cc.runs.peek(s.runKey(name, cfg, sz)); !cached {
+			break
 		}
-		return out
 	}
-	if out := collect(); out != nil {
+	if !cached {
+		key := fmt.Sprintf("%s/%s@%v%s", name, cfg, sizes, verifyKeySuffix(s.verify))
+		var err error
+		out, cached, err = s.cc.sweeps.get(key, func() ([]*Run, error) {
+			return s.sweep(name, cfg, sizes)
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if cached {
 		for range sizes {
 			s.metrics.RunHit()
 		}
-		s.noteRuns(out...)
-		return out, nil
 	}
-	key := fmt.Sprintf("sweep/%s/%s@%v%s", name, cfg, sizes, verifyKeySuffix(s.verify))
-	v, shared, err := s.cc.flight.Do(key, func() (any, error) {
-		if out := collect(); out != nil {
-			for range sizes {
-				s.metrics.RunHit()
-			}
-			return out, nil
-		}
-		c, b, err := s.compiled(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		results, err := c.RunSweep(sizes, s.cc.engine)
-		if err != nil {
-			return nil, err
-		}
-		// The batch shares one final memory image; checking it once
-		// checks every capacity's run.
-		if err := b.Check(results[0].Mem); err != nil {
-			return nil, fmt.Errorf("%s/%s sweep: output check: %w", name, cfg, err)
-		}
-		static := 0
-		for _, fc := range c.Code.Funcs {
-			static += fc.OpCount()
-		}
-		out := make([]*Run, len(sizes))
-		hits, misses := 0, 0
-		s.cc.mu.Lock()
-		for i, sz := range sizes {
-			if r := s.cc.runs[runKey(sz)]; r != nil {
-				// A point RunAt landed first; keep its pointer so the
-				// memoization stays pointer-stable for both callers.
-				out[i] = r
-				hits++
-				continue
-			}
-			r := &Run{Bench: name, Config: cfg, BufferOps: sz,
-				Stats: results[i].Stats, Pass: c.Stats, StaticOps: static,
-				Profile: results[i].Profile}
-			s.cc.runs[runKey(sz)] = r
-			out[i] = r
-			misses++
-		}
-		s.cc.mu.Unlock()
-		for ; misses > 0; misses-- {
-			s.metrics.RunMiss()
-		}
-		for ; hits > 0; hits-- {
-			s.metrics.RunHit()
-		}
-		return out, nil
-	})
+	s.noteRuns(out...)
+	return out, nil
+}
+
+// sweep is the batched simulation behind RunSweepAt. A size that a
+// RunAt cached first keeps that Run, so the memo stays pointer-stable
+// for both callers.
+func (s *Suite) sweep(name, cfg string, sizes []int) ([]*Run, error) {
+	c, b, err := s.compiled(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if shared {
-		for range sizes {
-			s.metrics.RunHit()
-		}
+	results, err := s.simulating(c).RunSweep(sizes, s.cc.engine)
+	if err != nil {
+		return nil, err
 	}
-	out := v.([]*Run)
-	s.noteRuns(out...)
+	// The batch shares one final memory image; checking it once
+	// checks every capacity's run.
+	if err := b.Check(results[0].Mem); err != nil {
+		return nil, fmt.Errorf("%s/%s sweep: output check: %w", name, cfg, err)
+	}
+	static := staticOps(c)
+	out := make([]*Run, len(sizes))
+	for i, sz := range sizes {
+		fresh := &Run{Bench: name, Config: cfg, BufferOps: sz,
+			Stats: results[i].Stats, Pass: c.Stats, StaticOps: static,
+			Profile: results[i].Profile}
+		r, hit, err := s.cc.runs.get(s.runKey(name, cfg, sz), func() (*Run, error) { return fresh, nil })
+		if err != nil {
+			return nil, err
+		}
+		if hit {
+			s.metrics.RunHit()
+		} else {
+			s.metrics.RunMiss()
+		}
+		out[i] = r
+	}
 	return out, nil
 }
 
@@ -481,19 +392,15 @@ func (s *Suite) runUncached(name, cfg string, bufferOps int) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.RunWithBuffer(bufferOps)
+	res, err := s.simulating(c).RunWithBuffer(bufferOps)
 	if err != nil {
 		return nil, err
 	}
 	if err := b.Check(res.Mem); err != nil {
 		return nil, fmt.Errorf("%s/%s@%d: output check: %w", name, cfg, bufferOps, err)
 	}
-	static := 0
-	for _, fc := range c.Code.Funcs {
-		static += fc.OpCount()
-	}
 	return &Run{Bench: name, Config: cfg, BufferOps: bufferOps,
-		Stats: res.Stats, Pass: c.Stats, StaticOps: static,
+		Stats: res.Stats, Pass: c.Stats, StaticOps: staticOps(c),
 		Profile: res.Profile}, nil
 }
 
@@ -528,9 +435,9 @@ type Fig7Row struct {
 }
 
 // Figure7 computes the Figure 7(a) (traditional) or 7(b) (aggressive)
-// curves for all benchmarks. The sweep is scheduled as a compile →
-// fan-out simulate → reduce job graph (see graphs.go); rows come back
-// in benchmark-table order regardless of completion order.
+// curves for all benchmarks, one compile-and-sweep task per benchmark
+// (see tasks.go); rows come back in benchmark-table order regardless
+// of completion order.
 func (s *Suite) Figure7(cfg string, sizes []int) ([]Fig7Row, error) {
 	return s.Figure7Ctx(context.Background(), cfg, sizes)
 }
@@ -569,7 +476,7 @@ type Fig8aRow struct {
 }
 
 // Figure8a computes the Figure 8(a) ratios at the paper's 256-op
-// buffer, scheduled as a job graph.
+// buffer.
 func (s *Suite) Figure8a() ([]Fig8aRow, error) {
 	return s.Figure8aCtx(context.Background())
 }
@@ -614,7 +521,7 @@ type Fig8bRow struct {
 }
 
 // Figure8b computes Figure 8(b), normalized to buffer-less issue of
-// traditionally optimized code, scheduled as a job graph.
+// traditionally optimized code.
 func (s *Suite) Figure8b() ([]Fig8bRow, error) {
 	return s.Figure8bCtx(context.Background())
 }
@@ -684,9 +591,8 @@ type Fig3 struct {
 }
 
 // Figure3 computes the predication statistics. Per-benchmark analysis
-// jobs run concurrently behind the aggressive compiles; the reduce
-// merges partials in benchmark-table order (the merge is commutative,
-// so the result is completion-order independent).
+// jobs run concurrently behind the aggressive compiles; their partials
+// merge afterwards in benchmark-table order.
 func (s *Suite) Figure3() (*Fig3, error) {
 	return s.Figure3Ctx(context.Background())
 }
@@ -912,22 +818,22 @@ type Headline struct {
 	FetchPowerTransformed float64 `json:"fetch_power_transformed"`
 }
 
-// ComputeHeadline runs everything needed for the abstract's numbers,
-// scheduled as one job graph over the 256-op runs of every benchmark.
+// ComputeHeadline runs everything needed for the abstract's numbers:
+// the 256-op runs of every benchmark under both configs.
 func (s *Suite) ComputeHeadline() (*Headline, error) {
 	return s.ComputeHeadlineCtx(context.Background())
 }
 
-// reduceHeadline folds the 256-op runs (in benchmark-table order) into
-// the headline aggregates; the power terms reuse fig8bRow so they are
-// bit-identical to Figure 8(b)'s.
-func reduceHeadline(names []string, tr, ag map[string]*Run) *Headline {
+// reduceHeadline folds the traditional and aggressive 256-op runs (in
+// benchmark-table order) into the headline aggregates; the power terms
+// reuse fig8bRow so they are bit-identical to Figure 8(b)'s.
+func reduceHeadline(names []string, pairs [][]at256) *Headline {
 	h := &Headline{}
 	excluded := map[string]bool{"jpegenc": true, "mpeg2enc": true}
 	model := power.Default()
 	n := 0
-	for _, name := range names {
-		t, a := tr[name], ag[name]
+	for i, name := range names {
+		t, a := pairs[i][0].r, pairs[i][1].r
 		h.AvgSpeedup += float64(t.Stats.Cycles) / float64(a.Stats.Cycles)
 		if !excluded[name] {
 			h.BufferIssueTraditional += t.Stats.BufferIssueRatio()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -39,15 +40,19 @@ type Fig5 struct {
 	TotalIssueFromBuffer float64 `json:"total_issue_from_buffer"`
 }
 
-// Figure5 runs g724dec at the given buffer size (through the suite's
-// verified, memoized run cache) and extracts the post-filter loop
-// traces.
+// Figure5 runs g724dec at the given buffer size (one task recording
+// its compile and simulate jobs, through the suite's verified, memoized
+// runs) and extracts the post-filter loop traces.
 func (s *Suite) Figure5(bufferOps int) (*Fig5, error) {
-	r, err := s.RunAt("g724dec", "aggressive", bufferOps)
-	if err != nil {
-		return nil, err
-	}
-	c, _, err := s.compiled("g724dec", "aggressive")
+	var c *core.Compiled
+	var r *Run
+	err := s.run.Each(context.Background(), 1, func(int) (err error) {
+		if c, err = s.compileJob("g724dec", "aggressive"); err != nil {
+			return err
+		}
+		r, err = s.simulateJob("g724dec", "aggressive", bufferOps)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

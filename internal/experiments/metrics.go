@@ -65,15 +65,8 @@ func (s *Suite) MetricsDump() *MetricsDump {
 // fetch-energy attribution for every memoized verified run.
 func (s *Suite) LoopAttribution() []LoopEnergyRow {
 	model := power.Default()
-	s.cc.mu.Lock()
-	runs := make([]*Run, 0, len(s.cc.runs))
-	for _, r := range s.cc.runs {
-		runs = append(runs, r)
-	}
-	s.cc.mu.Unlock()
-
 	var rows []LoopEnergyRow
-	for _, r := range runs {
+	for _, r := range s.cc.runs.values() {
 		runKey := r.Bench + "/" + r.Config + "@" + strconv.Itoa(r.BufferOps)
 		labels := s.loopLabels(r.Bench, r.Config, r.BufferOps)
 		for key, ls := range r.Stats.Loops {

@@ -76,7 +76,7 @@ func TestReferenceRunShared(t *testing.T) {
 	if got != want {
 		t.Errorf("shoot-out row %+v, unshared %+v", got, want)
 	}
-	if n := len(s.cc.refs); n != 1 {
+	if n := len(s.cc.refs.values()); n != 1 {
 		t.Errorf("cache holds %d reference runs, want 1", n)
 	}
 }

@@ -56,7 +56,7 @@ func TestConcurrentFiguresCompileOnce(t *testing.T) {
 	if snap.JobsFailed != 0 {
 		t.Fatalf("%d jobs failed", snap.JobsFailed)
 	}
-	if snap.Kinds["compile"].Jobs == 0 || snap.Kinds["simulate"].Jobs == 0 || snap.Kinds["reduce"].Jobs == 0 {
+	if snap.Kinds["compile"].Jobs == 0 || snap.Kinds["simulate"].Jobs == 0 || snap.Kinds["analyze"].Jobs == 0 {
 		t.Fatalf("missing job kinds in metrics: %+v", snap.Kinds)
 	}
 
@@ -84,8 +84,8 @@ func TestConcurrentFiguresCompileOnce(t *testing.T) {
 }
 
 // TestFigureFailureCancels checks the error path: a figure request for
-// a bogus config fails the compile job, cancels the graph, and
-// surfaces a clear error without compiling anything.
+// a bogus config fails the compile job, stops the loop, and surfaces a
+// clear error without compiling anything.
 func TestFigureFailureCancels(t *testing.T) {
 	s := New()
 	_, err := s.Figure7("nosuch", []int{16})
@@ -138,7 +138,74 @@ func TestSuiteObserverSeesEvents(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if kinds[runner.KindCompile] != 11 || kinds[runner.KindSimulate] != 11 || kinds[runner.KindReduce] != 1 {
+	if len(kinds) != 2 || kinds[runner.KindCompile] != 11 || kinds[runner.KindSimulate] != 11 {
 		t.Fatalf("event counts: %v", kinds)
 	}
+}
+
+// TestJobRecordContract pins the job records that perfbench reads to
+// time each (benchmark, config) op: a reproduce-shaped round (Figure 7
+// under both configs, then 8a, 8b and the headline) and a shoot-out,
+// each on a fresh suite, record exactly these compile and simulate
+// keys, each the given number of times. Other job kinds are not part
+// of the contract.
+func TestJobRecordContract(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the full suite twice")
+	}
+	records := func(s *Suite) map[string]int {
+		got := map[string]int{}
+		for _, j := range s.Metrics().Jobs {
+			if j.Kind != string(runner.KindCompile) && j.Kind != string(runner.KindSimulate) {
+				continue
+			}
+			if !j.OK || !strings.HasPrefix(j.Key, j.Kind+"/") {
+				t.Errorf("record %+v", j)
+			}
+			got[j.Key]++
+		}
+		return got
+	}
+	check := func(round string, got, want map[string]int) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: job records\n got %v\nwant %v", round, got, want)
+		}
+	}
+
+	s := New()
+	want := map[string]int{}
+	for _, cfg := range []string{"traditional", "aggressive"} {
+		if _, err := s.Figure7(cfg, []int{64, 256}); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range Benchmarks() {
+			want["compile/"+name+"/"+cfg] = 4
+			want["simulate/"+name+"/"+cfg+"/sweep"] = 1
+			want["simulate/"+name+"/"+cfg+"@256"] = 3
+		}
+	}
+	if _, err := s.Figure8a(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Figure8b(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ComputeHeadline(); err != nil {
+		t.Fatal(err)
+	}
+	check("reproduce", records(s), want)
+
+	s = New()
+	if _, err := s.Shootout(); err != nil {
+		t.Fatal(err)
+	}
+	want = map[string]int{}
+	for _, name := range Benchmarks() {
+		for _, cfg := range []string{"aggressive", "aggressive-optimal"} {
+			want["compile/"+name+"/"+cfg] = 1
+			want["simulate/"+name+"/"+cfg+"@256"] = 1
+		}
+	}
+	check("shootout", records(s), want)
 }

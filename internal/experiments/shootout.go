@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"lpbuf/internal/core"
-	"lpbuf/internal/runner"
 	"lpbuf/internal/sched"
 )
 
@@ -98,40 +97,18 @@ func (s *Suite) Shootout() ([]ShootoutRow, error) {
 	return s.ShootoutCtx(context.Background())
 }
 
-// ShootoutCtx is Shootout with caller-controlled cancellation,
-// scheduled as a compile-pair → simulate-pair → reduce job graph.
+// ShootoutCtx is Shootout with caller-controlled cancellation.
 func (s *Suite) ShootoutCtx(ctx context.Context) ([]ShootoutRow, error) {
-	g := runner.NewGraph()
-	var needs []string
-	for _, name := range Benchmarks() {
-		for _, cfg := range []string{"aggressive", "aggressive-optimal"} {
-			g.MustAdd(s.compileSpec(name, cfg))
-			sp := s.simulateSpec(name, cfg, 256)
-			needs = append(needs, compileKey(name, cfg), sp.Key)
-			g.MustAdd(sp)
-		}
-	}
-	g.MustAdd(runner.Spec{
-		Key:   "reduce/shootout",
-		Kind:  runner.KindReduce,
-		Needs: needs,
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			var rows []ShootoutRow
-			for _, name := range Benchmarks() {
-				rows = append(rows, shootoutRow(name,
-					deps[compileKey(name, "aggressive")].(*core.Compiled),
-					deps[compileKey(name, "aggressive-optimal")].(*core.Compiled),
-					deps[simulateKey(name, "aggressive", 256)].(*Run),
-					deps[simulateKey(name, "aggressive-optimal", 256)].(*Run)))
-			}
-			return rows, nil
-		},
-	})
-	res, err := s.run.Execute(ctx, g)
+	pairs, err := s.runPairs(ctx, "aggressive", "aggressive-optimal")
 	if err != nil {
 		return nil, err
 	}
-	return res["reduce/shootout"].([]ShootoutRow), nil
+	var rows []ShootoutRow
+	for b, name := range Benchmarks() {
+		h, o := pairs[b][0], pairs[b][1]
+		rows = append(rows, shootoutRow(name, h.c, o.c, h.r, o.r))
+	}
+	return rows, nil
 }
 
 // RenderShootout formats the shoot-out comparison.

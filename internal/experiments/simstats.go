@@ -9,7 +9,7 @@ import (
 // benchmark × config, the Figure 7 buffer-issue percentage at each
 // size in sizes, plus the 256-op dynamic op counts, fetch split,
 // static code size, and Figure 8(b) normalized fetch energy. The
-// sweeps run through the Figure 7 job graphs, so collection is
+// sweeps run through the Figure 7 loops, so collection is
 // parallel and every (bench, config, size) simulation is verified and
 // memoized exactly as the figures themselves are.
 //

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"lpbuf/internal/bench/suite"
@@ -82,5 +83,68 @@ func TestSweepSharesRunCache(t *testing.T) {
 	snap := s.Metrics()
 	if snap.RunMisses != 2 {
 		t.Errorf("run misses = %d, want 2 (solo 256, sweep 64)", snap.RunMisses)
+	}
+}
+
+// TestSimulationReportsToRequester pins where a simulation's counters
+// go when suites share a Cache: to the suite that asked for it, not to
+// the suite whose compile the Cache holds. In lpbufd the compiling
+// suite belongs to an earlier job whose registry is already folded.
+func TestSimulationReportsToRequester(t *testing.T) {
+	cc := NewCache()
+	a := NewWithOptions(Options{Cache: cc, Obs: &obs.Obs{Reg: obs.NewRegistry()}})
+	b := NewWithOptions(Options{Cache: cc, Obs: &obs.Obs{Reg: obs.NewRegistry()}})
+	simRuns := func(s *Suite) int64 { return s.obs.Reg.Counter("sim.runs").Value() }
+	if _, err := a.RunSweepAt("adpcmenc", "aggressive", []int{256}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RunSweepAt("adpcmenc", "aggressive", []int{64}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RunAt("adpcmenc", "aggressive", 128); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.Metrics().RunMisses, int64(2); got != want {
+		t.Fatalf("suite B run misses = %d, want %d", got, want)
+	}
+	if ga, gb := simRuns(a), simRuns(b); ga != 1 || gb != 2 {
+		t.Errorf("sim.runs: compiling suite %d, want 1; requesting suite %d, want 2", ga, gb)
+	}
+}
+
+// TestConcurrentSweepsShareOneBatch checks that identical sweeps
+// requested at the same time run one batched simulation between them.
+func TestConcurrentSweepsShareOneBatch(t *testing.T) {
+	s := NewWithOptions(Options{Obs: &obs.Obs{Reg: obs.NewRegistry()}})
+	sizes := []int{64, 256}
+	const callers = 4
+	out := make([][]*Run, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			out[i], errs[i] = s.RunSweepAt("adpcmenc", "aggressive", sizes)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(out[i], out[0]) || out[i][0] != out[0][0] {
+			t.Fatalf("caller %d got different runs", i)
+		}
+	}
+	if n := s.obs.Reg.Counter("sim.runs").Value(); n != int64(len(sizes)) {
+		t.Errorf("sim.runs = %d, want %d (one batch of %d plans)", n, len(sizes), len(sizes))
+	}
+	snap := s.Metrics()
+	if snap.RunMisses != int64(len(sizes)) || snap.RunHits != int64((callers-1)*len(sizes)) {
+		t.Errorf("run misses %d, hits %d", snap.RunMisses, snap.RunHits)
 	}
 }

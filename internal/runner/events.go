@@ -14,7 +14,6 @@ type EventType string
 const (
 	EventStart EventType = "start"
 	EventDone  EventType = "done"
-	EventRetry EventType = "retry"
 	EventFail  EventType = "fail"
 )
 
@@ -24,7 +23,6 @@ type Event struct {
 	Type     EventType
 	Key      string
 	Kind     Kind
-	Attempt  int           // retry attempt number (EventRetry)
 	Elapsed  time.Duration // job wall time (EventDone, EventFail)
 	InFlight int           // jobs in flight including this one (EventStart)
 	Err      string
@@ -42,8 +40,6 @@ func LogObserver(w io.Writer) func(Event) {
 			fmt.Fprintf(w, "[runner] start %-8s %-36s (in flight %d)\n", e.Kind, e.Key, e.InFlight)
 		case EventDone:
 			fmt.Fprintf(w, "[runner] done  %-8s %-36s %s\n", e.Kind, e.Key, e.Elapsed.Round(time.Millisecond))
-		case EventRetry:
-			fmt.Fprintf(w, "[runner] retry %-8s %-36s attempt %d: %s\n", e.Kind, e.Key, e.Attempt, e.Err)
 		case EventFail:
 			fmt.Fprintf(w, "[runner] FAIL  %-8s %-36s %s: %s\n", e.Kind, e.Key, e.Elapsed.Round(time.Millisecond), e.Err)
 		}

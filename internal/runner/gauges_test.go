@@ -8,107 +8,95 @@ import (
 	"lpbuf/internal/obs"
 )
 
+// gauges reads the runner.jobs_in_flight and runner.queue_depth gauges.
+func gauges(reg *obs.Registry) (inFlight, queued float64) {
+	g := reg.Snapshot().Gauges
+	return g["runner.jobs_in_flight"], g["runner.queue_depth"]
+}
+
 // TestQueueAndInFlightGauges tracks the runner.queue_depth and
-// runner.jobs_in_flight gauges through a graph execution: jobs admitted
-// to the graph count as queued, move to in-flight as a worker picks
-// them up, and both gauges settle to zero when the graph completes.
+// runner.jobs_in_flight gauges through a loop: tasks waiting for a
+// worker count as queued, a running job counts as in flight, and both
+// gauges settle to zero when the loop completes.
 func TestQueueAndInFlightGauges(t *testing.T) {
 	m := NewMetrics()
-	r := New(WithWorkers(1), WithMetrics(m))
+	r := New(1, m, nil, nil)
 
 	gate := make(chan struct{})
 	seen := make(chan struct{})
-	g := NewGraph()
-	g.MustAdd(Spec{Key: "slow", Kind: KindCompile,
-		Run: func(context.Context, map[string]any) (any, error) {
-			close(seen)
-			<-gate
-			return 1, nil
-		}})
-	g.MustAdd(Spec{Key: "after", Kind: KindSimulate, Needs: []string{"slow"},
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			return deps["slow"].(int) + 1, nil
-		}})
-
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Execute(context.Background(), g)
-		done <- err
+		done <- r.Each(context.Background(), 2, func(i int) error {
+			return r.Job(KindCompile, "slow", func() error {
+				if i == 0 {
+					close(seen)
+					<-gate
+				}
+				return nil
+			})
+		})
 	}()
 	<-seen
-	// One job is executing, the dependent one is admitted but unstarted.
-	if got := m.InFlight(); got != 1 {
-		t.Errorf("InFlight = %d mid-run, want 1", got)
-	}
-	if got := m.QueueDepth(); got != 1 {
-		t.Errorf("QueueDepth = %d mid-run, want 1", got)
-	}
-	snap := m.Snapshot()
-	if snap.InFlight != 1 || snap.QueueDepth != 1 {
-		t.Errorf("Snapshot in_flight=%d queue_depth=%d mid-run, want 1/1",
-			snap.InFlight, snap.QueueDepth)
-	}
-	reg := m.Registry().Snapshot()
-	if got := reg.Gauges["runner.jobs_in_flight"]; got != 1 {
-		t.Errorf("runner.jobs_in_flight gauge = %v, want 1", got)
-	}
-	if got := reg.Gauges["runner.queue_depth"]; got != 1 {
-		t.Errorf("runner.queue_depth gauge = %v, want 1", got)
+	// One job is executing; the other task waits for the only worker.
+	if inFlight, queued := gauges(m.Registry()); inFlight != 1 || queued != 1 {
+		t.Errorf("mid-run gauges: jobs_in_flight=%v queue_depth=%v, want 1/1", inFlight, queued)
 	}
 
 	close(gate)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if m.InFlight() != 0 || m.QueueDepth() != 0 {
-		t.Fatalf("gauges did not settle: in_flight=%d queue_depth=%d",
-			m.InFlight(), m.QueueDepth())
-	}
-	reg = m.Registry().Snapshot()
-	if reg.Gauges["runner.jobs_in_flight"] != 0 || reg.Gauges["runner.queue_depth"] != 0 {
-		t.Fatalf("registry gauges did not settle: %v", reg.Gauges)
+	if inFlight, queued := gauges(m.Registry()); inFlight != 0 || queued != 0 {
+		t.Fatalf("gauges did not settle: jobs_in_flight=%v queue_depth=%v", inFlight, queued)
 	}
 }
 
-// TestQueueGaugeDrainsOnFailure proves never-started jobs are unqueued
-// when a graph aborts, so admission layers don't see phantom depth.
+// TestQueueGaugeDrainsOnFailure proves tasks that never start leave the
+// queue gauge when a loop aborts, so it shows no phantom depth.
 func TestQueueGaugeDrainsOnFailure(t *testing.T) {
 	m := NewMetrics()
-	r := New(WithWorkers(1), WithMetrics(m))
-	g := NewGraph()
-	g.MustAdd(Spec{Key: "boom", Kind: KindCompile,
-		Run: func(context.Context, map[string]any) (any, error) {
-			return nil, errors.New("kaboom")
-		}})
-	g.MustAdd(Spec{Key: "never", Kind: KindSimulate, Needs: []string{"boom"},
-		Run: func(context.Context, map[string]any) (any, error) {
-			return 1, nil
-		}})
-	if _, err := r.Execute(context.Background(), g); err == nil {
-		t.Fatal("failing graph succeeded")
+	r := New(1, m, nil, nil)
+	err := r.Each(context.Background(), 3, func(i int) error {
+		return r.Job(KindCompile, "boom", func() error { return errors.New("kaboom") })
+	})
+	if err == nil {
+		t.Fatal("failing loop succeeded")
 	}
-	if got := m.QueueDepth(); got != 0 {
-		t.Fatalf("QueueDepth = %d after failed graph, want 0", got)
-	}
-	if got := m.InFlight(); got != 0 {
-		t.Fatalf("InFlight = %d after failed graph, want 0", got)
+	if inFlight, queued := gauges(m.Registry()); inFlight != 0 || queued != 0 {
+		t.Fatalf("gauges after a failed loop: jobs_in_flight=%v queue_depth=%v, want 0/0", inFlight, queued)
 	}
 }
 
-// TestGaugeAdd exercises the obs.Gauge delta path multiple runner
-// Metrics instances rely on when they share one registry.
+// TestGaugeAdd exercises the obs.Gauge delta path that runners rely on
+// when their Metrics share one registry: each runner's waiting tasks
+// add to the one queue_depth gauge.
 func TestGaugeAdd(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := NewMetricsIn(reg)
-	b := NewMetricsIn(reg)
-	a.enqueue(3)
-	b.enqueue(2)
-	if got := reg.Snapshot().Gauges["runner.queue_depth"]; got != 5 {
-		t.Fatalf("shared queue_depth gauge = %v, want 5", got)
+	gate := make(chan struct{})
+	var started, done [2]chan struct{}
+	for k := range 2 {
+		r := New(1, NewMetricsIn(reg), nil, nil)
+		started[k], done[k] = make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done[k])
+			_ = r.Each(context.Background(), 3, func(i int) error {
+				if i == 0 {
+					close(started[k])
+				}
+				<-gate
+				return nil
+			})
+		}()
 	}
-	a.unqueue(3)
-	b.unqueue(2)
-	if got := reg.Snapshot().Gauges["runner.queue_depth"]; got != 0 {
-		t.Fatalf("shared queue_depth gauge = %v after unqueue, want 0", got)
+	<-started[0]
+	<-started[1]
+	if _, queued := gauges(reg); queued != 4 {
+		t.Fatalf("shared queue_depth gauge = %v, want 4", queued)
+	}
+	close(gate)
+	<-done[0]
+	<-done[1]
+	if _, queued := gauges(reg); queued != 0 {
+		t.Fatalf("shared queue_depth gauge = %v after both loops, want 0", queued)
 	}
 }

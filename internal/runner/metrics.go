@@ -9,7 +9,7 @@ import (
 )
 
 // Metrics aggregates the runner's structured event stream: jobs
-// run/failed/retried, wall time split by job kind, compile- and
+// run/failed, wall time split by job kind, compile- and
 // run-cache hit/miss counts, peak in-flight jobs, and a per-job timing
 // record for the JSON artifact. The scalar counters live in an
 // obs.Registry (under "runner.*" names), so they appear in metrics
@@ -21,19 +21,17 @@ type Metrics struct {
 
 	jobsRun     *obs.Counter
 	jobsFailed  *obs.Counter
-	retries     *obs.Counter
 	cacheHits   *obs.Counter // compile cache
 	cacheMisses *obs.Counter // actual compiles
 	runHits     *obs.Counter // simulation-result cache
 	runMisses   *obs.Counter // actual simulations
 	peak        *obs.Gauge
 	inFlightG   *obs.Gauge     // current jobs executing (runner.jobs_in_flight)
-	queueG      *obs.Gauge     // admitted-but-unstarted jobs (runner.queue_depth)
+	queueG      *obs.Gauge     // tasks waiting for a worker (runner.queue_depth)
 	wall        *obs.Histogram // per-job wall time, ms
 
 	mu       sync.Mutex
 	inFlight int
-	queued   int
 	kinds    map[Kind]*kindCounter
 	jobs     []JobRecord
 }
@@ -57,7 +55,6 @@ func NewMetricsIn(reg *obs.Registry) *Metrics {
 		reg:         reg,
 		jobsRun:     reg.Counter("runner.jobs_run"),
 		jobsFailed:  reg.Counter("runner.jobs_failed"),
-		retries:     reg.Counter("runner.retries"),
 		cacheHits:   reg.Counter("runner.compile_cache_hits"),
 		cacheMisses: reg.Counter("runner.compile_cache_misses"),
 		runHits:     reg.Counter("runner.run_cache_hits"),
@@ -77,87 +74,33 @@ func (m *Metrics) jobStart() int {
 	m.mu.Lock()
 	m.inFlight++
 	n := m.inFlight
-	dequeued := false
-	if m.queued > 0 {
-		m.queued--
-		dequeued = true
-	}
 	m.mu.Unlock()
 	m.peak.Max(float64(n))
 	m.inFlightG.Add(1)
-	if dequeued {
-		m.queueG.Add(-1)
-	}
 	return n
 }
 
-// enqueue records n jobs admitted to a graph but not yet started.
-// Execute calls it once per graph; jobStart moves a job from queued to
-// in flight, and unqueue drops whatever a cancelled graph never ran.
-func (m *Metrics) enqueue(n int) {
-	if n <= 0 {
-		return
-	}
-	m.mu.Lock()
-	m.queued += n
-	m.mu.Unlock()
-	m.queueG.Add(float64(n))
-}
-
-// unqueue removes n never-started jobs (graph cancelled or failed).
-func (m *Metrics) unqueue(n int) {
-	if n <= 0 {
-		return
-	}
-	m.mu.Lock()
-	if n > m.queued {
-		n = m.queued
-	}
-	m.queued -= n
-	m.mu.Unlock()
-	m.queueG.Add(float64(-n))
-}
-
-// InFlight reports the jobs currently executing. Admission-control
-// layers poll it (alongside QueueDepth) to decide whether new work
-// should be accepted.
-func (m *Metrics) InFlight() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.inFlight
-}
-
-// QueueDepth reports jobs admitted to an executing graph that have not
-// started yet.
-func (m *Metrics) QueueDepth() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.queued
-}
-
-func (m *Metrics) retry() { m.retries.Inc() }
-
-func (m *Metrics) jobDone(s *Spec, elapsed time.Duration, err error) {
+func (m *Metrics) jobDone(kind Kind, key string, elapsed time.Duration, err error) {
 	m.jobsRun.Inc()
 	if err != nil {
 		m.jobsFailed.Inc()
 	}
 	m.wall.Observe(elapsed.Milliseconds())
-	m.reg.Counter("runner.kind." + string(s.Kind) + ".jobs").Inc()
+	m.reg.Counter("runner.kind." + string(kind) + ".jobs").Inc()
 	m.inFlightG.Add(-1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.inFlight--
-	kc := m.kinds[s.Kind]
+	kc := m.kinds[kind]
 	if kc == nil {
 		kc = &kindCounter{}
-		m.kinds[s.Kind] = kc
+		m.kinds[kind] = kc
 	}
 	kc.jobs++
 	kc.wall += elapsed
 	m.jobs = append(m.jobs, JobRecord{
-		Key:    s.Key,
-		Kind:   string(s.Kind),
+		Key:    key,
+		Kind:   string(kind),
 		WallMS: float64(elapsed) / float64(time.Millisecond),
 		OK:     err == nil,
 	})
@@ -175,9 +118,6 @@ func (m *Metrics) RunHit() { m.runHits.Inc() }
 // RunMiss counts an actual simulation execution.
 func (m *Metrics) RunMiss() { m.runMisses.Inc() }
 
-// CacheMisses reports how many compiles actually executed.
-func (m *Metrics) CacheMisses() int64 { return m.cacheMisses.Value() }
-
 // JobRecord is the per-job timing entry of the JSON artifact.
 type JobRecord struct {
 	Key    string  `json:"key"`
@@ -194,22 +134,15 @@ type KindSnapshot struct {
 
 // Snapshot is the JSON-marshalable view of the counters.
 type Snapshot struct {
-	JobsRun      int64 `json:"jobs_run"`
-	JobsFailed   int64 `json:"jobs_failed"`
-	Retries      int64 `json:"retries"`
-	CacheHits    int64 `json:"compile_cache_hits"`
-	CacheMisses  int64 `json:"compile_cache_misses"`
-	RunHits      int64 `json:"run_cache_hits"`
-	RunMisses    int64 `json:"run_cache_misses"`
-	PeakInFlight int   `json:"peak_in_flight"`
-	// InFlight/QueueDepth are live-gauge reads, interesting only while
-	// jobs are executing (admission control snapshots mid-run); both
-	// settle to zero once every graph completes, so they are omitted
-	// from at-rest artifacts and the golden schema is unchanged.
-	InFlight   int                     `json:"in_flight,omitempty"`
-	QueueDepth int                     `json:"queue_depth,omitempty"`
-	Kinds      map[string]KindSnapshot `json:"kinds"`
-	Jobs       []JobRecord             `json:"jobs,omitempty"`
+	JobsRun      int64                   `json:"jobs_run"`
+	JobsFailed   int64                   `json:"jobs_failed"`
+	CacheHits    int64                   `json:"compile_cache_hits"`
+	CacheMisses  int64                   `json:"compile_cache_misses"`
+	RunHits      int64                   `json:"run_cache_hits"`
+	RunMisses    int64                   `json:"run_cache_misses"`
+	PeakInFlight int                     `json:"peak_in_flight"`
+	Kinds        map[string]KindSnapshot `json:"kinds"`
+	Jobs         []JobRecord             `json:"jobs,omitempty"`
 }
 
 // Snapshot copies the counters. Job records are sorted by key so the
@@ -221,8 +154,6 @@ type Snapshot struct {
 func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot
 	m.mu.Lock()
-	s.InFlight = m.inFlight
-	s.QueueDepth = m.queued
 	s.Kinds = make(map[string]KindSnapshot, len(m.kinds))
 	for k, kc := range m.kinds {
 		s.Kinds[string(k)] = KindSnapshot{
@@ -234,7 +165,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Unlock()
 	s.JobsRun = m.jobsRun.Value()
 	s.JobsFailed = m.jobsFailed.Value()
-	s.Retries = m.retries.Value()
 	s.CacheHits = m.cacheHits.Value()
 	s.CacheMisses = m.cacheMisses.Value()
 	s.RunHits = m.runHits.Value()

@@ -19,23 +19,10 @@ import (
 func TestSnapshotConcurrentWithJobs(t *testing.T) {
 	m := NewMetrics()
 	tr := obs.NewTrace(0)
-	r := New(WithWorkers(4), WithMetrics(m), WithTrace(tr))
+	r := New(4, m, nil, tr)
 
 	const jobs = 200
-	g := NewGraph()
 	var ran atomic.Int64
-	for i := 0; i < jobs; i++ {
-		g.MustAdd(Spec{
-			Key:  fmt.Sprintf("job%03d", i),
-			Kind: KindSimulate,
-			Run: func(ctx context.Context, deps map[string]any) (any, error) {
-				m.CacheHit()
-				m.RunMiss()
-				ran.Add(1)
-				return nil, nil
-			},
-		})
-	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -72,7 +59,15 @@ func TestSnapshotConcurrentWithJobs(t *testing.T) {
 		}()
 	}
 
-	if _, err := r.Execute(context.Background(), g); err != nil {
+	err := r.Each(context.Background(), jobs, func(i int) error {
+		return r.Job(KindSimulate, fmt.Sprintf("job%03d", i), func() error {
+			m.CacheHit()
+			m.RunMiss()
+			ran.Add(1)
+			return nil
+		})
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

@@ -1,249 +1,138 @@
-// Package runner is the experiment-execution subsystem: it turns
-// figure/table regeneration into a scheduled, observable, cacheable
-// job graph. Jobs are declared as Specs with explicit dependencies
-// (compile → fan-out simulate → reduce), validated into a DAG, and
-// executed by a bounded worker pool with per-job retry on transient
-// errors and context cancellation on the first hard failure. A
-// singleflight group (Flight) deduplicates concurrent identical work,
-// and Metrics collects the structured event stream (job start/finish,
-// wall time split by kind, cache hit/miss counters, peak in-flight)
-// both for a human progress log and for the JSON artifact.
+// Package runner is the experiment-execution subsystem: a bounded
+// parallel loop (Each) that figure regeneration runs its per-benchmark
+// tasks on, and a job recorder (Job) that turns each compile or
+// simulation inside a task into an observable unit: a start/done/fail
+// event for the progress log, a job.<kind> span, and a Metrics record
+// (wall time split by kind, cache hit/miss counters, peak in-flight)
+// for the JSON artifact. A singleflight group (Flight) deduplicates
+// concurrent identical work for callers that keep no memo of their own.
 package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lpbuf/internal/obs"
 )
 
-// Runner executes job graphs on a bounded worker pool. The bound is
-// global: concurrent Execute calls on the same Runner share one
-// semaphore, so total in-flight jobs never exceed Workers().
+// Kind classifies a job for the compile/simulate wall-time split in
+// the metrics and the progress log.
+type Kind string
+
+// The experiment job kinds.
+const (
+	KindCompile  Kind = "compile"
+	KindSimulate Kind = "simulate"
+	KindAnalyze  Kind = "analyze"
+)
+
+// Runner runs tasks on a bounded number of workers. The bound is
+// global: concurrent Each calls on the same Runner share it, so the
+// tasks in flight never exceed the worker count.
 //
-// A job's Run function must not call Execute on the same Runner; jobs
-// only ever wait on the scheduler, never on other jobs directly, which
-// is what makes the semaphore deadlock-free.
+// A task must not call Each on the same Runner: it holds a worker while
+// it runs, and waiting for more workers could deadlock.
 type Runner struct {
-	workers int
 	sem     chan struct{}
 	metrics *Metrics
 	onEvent func(Event)
 	trace   *obs.Trace
 }
 
-// Option configures a Runner.
-type Option func(*Runner)
-
-// WithWorkers bounds in-flight jobs. Values below 1 keep the default
-// (runtime.GOMAXPROCS(0)).
-func WithWorkers(n int) Option {
-	return func(r *Runner) {
-		if n > 0 {
-			r.workers = n
-		}
+// New creates a Runner with at most workers tasks in flight (values
+// below 1 use runtime.GOMAXPROCS(0)). metrics receives the job records
+// (nil gives the runner private ones), onEvent observes the job event
+// stream (see LogObserver; it may be called from several goroutines),
+// and trace receives one span per job (nil disables job spans).
+func New(workers int, metrics *Metrics, onEvent func(Event), trace *obs.Trace) *Runner {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-}
-
-// WithMetrics shares an external Metrics instance, so callers can fold
-// their own cache counters into the same snapshot.
-func WithMetrics(m *Metrics) Option {
-	return func(r *Runner) {
-		if m != nil {
-			r.metrics = m
-		}
+	if metrics == nil {
+		metrics = NewMetrics()
 	}
+	return &Runner{sem: make(chan struct{}, workers), metrics: metrics,
+		onEvent: onEvent, trace: trace}
 }
-
-// WithObserver installs an event callback (see LogObserver). The
-// callback may be invoked from multiple worker goroutines.
-func WithObserver(fn func(Event)) Option {
-	return func(r *Runner) { r.onEvent = fn }
-}
-
-// WithTrace records one span per job (kind, key, attempts, outcome)
-// into the given trace. Nil disables job spans.
-func WithTrace(t *obs.Trace) Option {
-	return func(r *Runner) { r.trace = t }
-}
-
-// New creates a Runner. The default worker bound is GOMAXPROCS.
-func New(opts ...Option) *Runner {
-	r := &Runner{workers: runtime.GOMAXPROCS(0), metrics: NewMetrics()}
-	for _, o := range opts {
-		o(r)
-	}
-	r.sem = make(chan struct{}, r.workers)
-	return r
-}
-
-// Workers reports the concurrency bound.
-func (r *Runner) Workers() int { return r.workers }
 
 // Metrics returns the runner's counters.
 func (r *Runner) Metrics() *Metrics { return r.metrics }
 
-// Execute runs every job of the graph, honouring dependencies, and
-// returns the job results keyed by Spec.Key. On the first hard (non,
-// or no longer, transient) job failure the remaining jobs are
-// cancelled and the failure is returned.
-func (r *Runner) Execute(ctx context.Context, g *Graph) (map[string]any, error) {
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	total := len(g.order)
-	if total == 0 {
-		return map[string]any{}, nil
-	}
+// Each runs fn(i) for every i in [0, n), starting tasks in index order
+// as workers free up. The first error, or a cancelled ctx, stops the
+// tasks that have not started; Each waits for the started ones and
+// returns that error. Tasks waiting for a worker count in the
+// runner.queue_depth gauge.
+func (r *Runner) Each(ctx context.Context, n int, fn func(i int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// Every admitted job counts toward the queue-depth gauge until it
-	// starts; whatever a cancelled or failed graph never starts is
-	// dropped from the gauge on the way out.
-	var started atomic.Int64
-	r.metrics.enqueue(total)
-	defer func() { r.metrics.unqueue(total - int(started.Load())) }()
-
 	var (
-		mu         sync.Mutex
-		res        = make(map[string]any, total)
-		pending    = make(map[string]int, total)
-		dependents = make(map[string][]string, total)
-		done       int
-		errOnce    sync.Once
-		execErr    error
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
 	)
-	// Buffered to the graph size so completions never block on it.
-	ready := make(chan *Spec, total)
-	for _, key := range g.order {
-		s := g.specs[key]
-		if len(s.Needs) == 0 {
-			ready <- s
-			continue
-		}
-		pending[key] = len(s.Needs)
-		for _, d := range s.Needs {
-			dependents[d] = append(dependents[d], key)
-		}
-	}
-	fail := func(err error) {
-		errOnce.Do(func() { execErr = err; cancel() })
-	}
-	complete := func(s *Spec, v any) {
-		mu.Lock()
-		defer mu.Unlock()
-		res[s.Key] = v
-		done++
-		for _, dk := range dependents[s.Key] {
-			pending[dk]--
-			if pending[dk] == 0 {
-				delete(pending, dk)
-				ready <- g.specs[dk]
-			}
-		}
-		if done == total {
-			close(ready)
-		}
-	}
-	depsOf := func(s *Spec) map[string]any {
-		if len(s.Needs) == 0 {
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		deps := make(map[string]any, len(s.Needs))
-		for _, d := range s.Needs {
-			deps[d] = res[d]
-		}
-		return deps
-	}
-
-	workers := r.workers
-	if workers > total {
-		workers = total
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	r.metrics.queueG.Add(float64(n))
+	started := 0
+	for ; started < n && r.acquire(ctx); started++ {
+		r.metrics.queueG.Add(-1)
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case s, ok := <-ready:
-					if !ok {
-						return
-					}
-					select {
-					case <-ctx.Done():
-						return
-					case r.sem <- struct{}{}:
-					}
-					if ctx.Err() != nil {
-						<-r.sem
-						return
-					}
-					started.Add(1)
-					v, err := r.runJob(ctx, s, depsOf(s))
-					<-r.sem
-					if err != nil {
-						fail(fmt.Errorf("%s %s: %w", s.Kind, s.Key, err))
-						return
-					}
-					complete(s, v)
-				}
+			defer func() { <-r.sem }()
+			if err := fn(i); err != nil {
+				errOnce.Do(func() { firstErr = err; cancel() })
 			}
-		}()
+		}(started)
 	}
+	r.metrics.queueG.Add(float64(started - n))
 	wg.Wait()
-	if execErr != nil {
-		return nil, execErr
+	if firstErr != nil {
+		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if started < n {
+		return ctx.Err()
 	}
-	return res, nil
+	return nil
 }
 
-// runJob runs one job with retry-on-transient, recording metrics and
-// emitting events.
-func (r *Runner) runJob(ctx context.Context, s *Spec, deps map[string]any) (any, error) {
-	inFlight := r.metrics.jobStart()
-	r.emit(Event{Type: EventStart, Key: s.Key, Kind: s.Kind, InFlight: inFlight})
-	span := r.trace.StartSpan("job." + string(s.Kind))
-	span.SetAttr("key", s.Key)
-	start := time.Now()
-	var v any
-	var err error
-	attempts := 1
-	for attempt := 0; ; attempt++ {
-		v, err = s.Run(ctx, deps)
-		if err == nil || ctx.Err() != nil || !IsTransient(err) || attempt >= s.Retries {
-			attempts = attempt + 1
-			break
-		}
-		r.metrics.retry()
-		r.emit(Event{Type: EventRetry, Key: s.Key, Kind: s.Kind,
-			Attempt: attempt + 1, Err: err.Error()})
+// acquire takes a worker, or reports false once ctx is done.
+func (r *Runner) acquire(ctx context.Context) bool {
+	select {
+	case <-ctx.Done():
+		return false
+	case r.sem <- struct{}{}:
 	}
+	if ctx.Err() != nil {
+		<-r.sem
+		return false
+	}
+	return true
+}
+
+// Job runs fn as one recorded job: it emits the start and done (or
+// fail) events, records a job.<kind> span and a Metrics entry, and
+// returns fn's error prefixed with the job's kind and key. Job takes no
+// worker: it runs inside a task that already holds one.
+func (r *Runner) Job(kind Kind, key string, fn func() error) error {
+	inFlight := r.metrics.jobStart()
+	r.emit(Event{Type: EventStart, Key: key, Kind: kind, InFlight: inFlight})
+	span := r.trace.StartSpan("job." + string(kind))
+	span.SetAttr("key", key)
+	start := time.Now()
+	err := fn()
 	elapsed := time.Since(start)
-	r.metrics.jobDone(s, elapsed, err)
-	span.SetInt("attempts", attempts)
+	r.metrics.jobDone(kind, key, elapsed, err)
 	span.SetAttr("ok", err == nil)
 	span.End()
 	if err != nil {
-		r.emit(Event{Type: EventFail, Key: s.Key, Kind: s.Kind, Elapsed: elapsed, Err: err.Error()})
-		return nil, err
+		r.emit(Event{Type: EventFail, Key: key, Kind: kind, Elapsed: elapsed, Err: err.Error()})
+		return fmt.Errorf("%s %s: %w", kind, key, err)
 	}
-	r.emit(Event{Type: EventDone, Key: s.Key, Kind: s.Kind, Elapsed: elapsed})
-	return v, nil
+	r.emit(Event{Type: EventDone, Key: key, Kind: kind, Elapsed: elapsed})
+	return nil
 }
 
 func (r *Runner) emit(e Event) {
@@ -252,27 +141,4 @@ func (r *Runner) emit(e Event) {
 	}
 	e.Time = time.Now()
 	r.onEvent(e)
-}
-
-// transientError marks an error as safe to retry.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// Transient wraps err so the runner retries the job (up to
-// Spec.Retries times). Deterministic failures — a miscompiled
-// benchmark, a failed output check — must not be wrapped.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked
-// with Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
 }

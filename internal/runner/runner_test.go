@@ -11,94 +11,13 @@ import (
 	"time"
 )
 
-func ok(v any) func(context.Context, map[string]any) (any, error) {
-	return func(context.Context, map[string]any) (any, error) { return v, nil }
-}
-
-func TestGraphValidation(t *testing.T) {
-	g := NewGraph()
-	if err := g.Add(Spec{Key: "", Run: ok(1)}); err == nil {
-		t.Fatal("empty key accepted")
-	}
-	if err := g.Add(Spec{Key: "a"}); err == nil {
-		t.Fatal("nil Run accepted")
-	}
-	if err := g.Add(Spec{Key: "a", Run: ok(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Add(Spec{Key: "a", Run: ok(2)}); err == nil {
-		t.Fatal("duplicate key accepted")
-	}
-
-	r := New(WithWorkers(2))
-	bad := NewGraph()
-	bad.MustAdd(Spec{Key: "x", Needs: []string{"missing"}, Run: ok(1)})
-	if _, err := r.Execute(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "unknown job") {
-		t.Fatalf("unknown dep: %v", err)
-	}
-
-	cyc := NewGraph()
-	cyc.MustAdd(Spec{Key: "a", Needs: []string{"b"}, Run: ok(1)})
-	cyc.MustAdd(Spec{Key: "b", Needs: []string{"a"}, Run: ok(1)})
-	if _, err := r.Execute(context.Background(), cyc); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("cycle: %v", err)
-	}
-}
-
-func TestExecuteEmptyGraph(t *testing.T) {
-	res, err := New().Execute(context.Background(), NewGraph())
-	if err != nil || len(res) != 0 {
-		t.Fatalf("empty graph: %v %v", res, err)
-	}
-}
-
-// TestExecuteDiamond checks that results flow through a diamond DAG
-// and that every job sees exactly its declared dependencies.
-func TestExecuteDiamond(t *testing.T) {
-	g := NewGraph()
-	g.MustAdd(Spec{Key: "top", Kind: KindCompile, Run: ok(10)})
-	g.MustAdd(Spec{Key: "left", Kind: KindSimulate, Needs: []string{"top"},
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			return deps["top"].(int) + 1, nil
-		}})
-	g.MustAdd(Spec{Key: "right", Kind: KindSimulate, Needs: []string{"top"},
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			return deps["top"].(int) + 2, nil
-		}})
-	g.MustAdd(Spec{Key: "bottom", Kind: KindReduce, Needs: []string{"left", "right"},
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			if len(deps) != 2 {
-				return nil, fmt.Errorf("got %d deps", len(deps))
-			}
-			return deps["left"].(int) * deps["right"].(int), nil
-		}})
-	r := New(WithWorkers(4))
-	res, err := r.Execute(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res["bottom"].(int) != 11*12 {
-		t.Fatalf("bottom = %v", res["bottom"])
-	}
-	snap := r.Metrics().Snapshot()
-	if snap.JobsRun != 4 || snap.JobsFailed != 0 {
-		t.Fatalf("snapshot: %+v", snap)
-	}
-	if snap.Kinds["simulate"].Jobs != 2 {
-		t.Fatalf("simulate kind count: %+v", snap.Kinds)
-	}
-	if len(snap.Jobs) != 4 {
-		t.Fatalf("job records: %+v", snap.Jobs)
-	}
-}
-
-// TestConcurrencyBound checks the worker pool never exceeds its bound,
-// including across concurrent Execute calls sharing one Runner.
+// TestConcurrencyBound checks the worker bound holds, including across
+// concurrent Each calls sharing one Runner.
 func TestConcurrencyBound(t *testing.T) {
 	const bound = 3
-	r := New(WithWorkers(bound))
+	r := New(bound, nil, nil, nil)
 	var inFlight, peak atomic.Int64
-	job := func(context.Context, map[string]any) (any, error) {
+	task := func() error {
 		n := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -108,18 +27,17 @@ func TestConcurrencyBound(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 		inFlight.Add(-1)
-		return nil, nil
+		return nil
 	}
 	var wg sync.WaitGroup
 	for e := 0; e < 3; e++ {
-		g := NewGraph()
-		for i := 0; i < 10; i++ {
-			g.MustAdd(Spec{Key: fmt.Sprintf("j%d", i), Run: job})
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.Execute(context.Background(), g); err != nil {
+			err := r.Each(context.Background(), 10, func(i int) error {
+				return r.Job(KindCompile, fmt.Sprintf("e%d/j%d", e, i), task)
+			})
+			if err != nil {
 				t.Error(err)
 			}
 		}()
@@ -128,7 +46,7 @@ func TestConcurrencyBound(t *testing.T) {
 	if p := peak.Load(); p > bound {
 		t.Fatalf("peak in-flight %d exceeds bound %d", p, bound)
 	}
-	if snap := r.Metrics().Snapshot(); snap.PeakInFlight > bound || snap.JobsRun != 30 {
+	if snap := r.Metrics().Snapshot(); snap.PeakInFlight > bound || snap.JobsRun != 30 || len(snap.Jobs) != 30 {
 		t.Fatalf("metrics: %+v", snap)
 	}
 }
@@ -178,149 +96,70 @@ func TestFlightDedup(t *testing.T) {
 	}
 }
 
-func TestRetryTransient(t *testing.T) {
-	r := New(WithWorkers(1))
-	g := NewGraph()
-	var attempts int
-	g.MustAdd(Spec{Key: "flaky", Retries: 2,
-		Run: func(context.Context, map[string]any) (any, error) {
-			attempts++
-			if attempts < 3 {
-				return nil, Transient(fmt.Errorf("attempt %d", attempts))
-			}
-			return "done", nil
-		}})
-	res, err := r.Execute(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 3 || res["flaky"] != "done" {
-		t.Fatalf("attempts=%d res=%v", attempts, res)
-	}
-	if snap := r.Metrics().Snapshot(); snap.Retries != 2 {
-		t.Fatalf("retries: %+v", snap)
-	}
-
-	// A hard error is never retried, even with a retry budget.
-	g2 := NewGraph()
-	hard := 0
-	g2.MustAdd(Spec{Key: "hard", Retries: 5,
-		Run: func(context.Context, map[string]any) (any, error) {
-			hard++
-			return nil, errors.New("deterministic failure")
-		}})
-	if _, err := r.Execute(context.Background(), g2); err == nil {
-		t.Fatal("hard failure not reported")
-	}
-	if hard != 1 {
-		t.Fatalf("hard job ran %d times", hard)
-	}
-}
-
-func TestTransientMarker(t *testing.T) {
-	base := errors.New("io hiccup")
-	if !IsTransient(Transient(base)) {
-		t.Fatal("Transient not detected")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", Transient(base))) {
-		t.Fatal("wrapped Transient not detected")
-	}
-	if IsTransient(base) || IsTransient(nil) || Transient(nil) != nil {
-		t.Fatal("false positives")
-	}
-	if !errors.Is(Transient(base), base) {
-		t.Fatal("Transient hides the cause")
-	}
-}
-
-// TestCancellationOnFailure checks that the first hard failure cancels
-// the run: queued jobs never start and the failure is reported.
+// TestCancellationOnFailure checks that the first failure stops the
+// loop: tasks that have not started never start, and the failure is
+// reported with its job's kind and key.
 func TestCancellationOnFailure(t *testing.T) {
-	r := New(WithWorkers(1))
-	g := NewGraph()
+	r := New(1, nil, nil, nil)
 	var started atomic.Int64
-	g.MustAdd(Spec{Key: "boom", Kind: KindCompile,
-		Run: func(context.Context, map[string]any) (any, error) {
-			return nil, errors.New("bad compile")
-		}})
-	for i := 0; i < 5; i++ {
-		g.MustAdd(Spec{Key: fmt.Sprintf("later%d", i),
-			Run: func(context.Context, map[string]any) (any, error) {
-				started.Add(1)
-				return nil, nil
-			}})
-	}
-	_, err := r.Execute(context.Background(), g)
-	if err == nil || !strings.Contains(err.Error(), "compile boom: bad compile") {
+	err := r.Each(context.Background(), 6, func(i int) error {
+		if i == 0 {
+			return r.Job(KindCompile, "boom", func() error { return errors.New("bad compile") })
+		}
+		started.Add(1)
+		return nil
+	})
+	if err == nil || err.Error() != "compile boom: bad compile" {
 		t.Fatalf("error: %v", err)
 	}
 	if n := started.Load(); n != 0 {
-		t.Fatalf("%d queued jobs ran after the failure", n)
+		t.Fatalf("%d tasks started after the failure", n)
+	}
+	if snap := r.Metrics().Snapshot(); snap.JobsFailed != 1 || len(snap.Jobs) != 1 || snap.Jobs[0].OK {
+		t.Fatalf("failed job not recorded: %+v", snap)
 	}
 }
 
-// TestCancellationReachesRunningJobs checks that an in-flight job
-// observes ctx cancellation when a sibling fails.
-func TestCancellationReachesRunningJobs(t *testing.T) {
-	r := New(WithWorkers(2))
-	g := NewGraph()
-	observed := make(chan struct{})
-	g.MustAdd(Spec{Key: "slow",
-		Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			select {
-			case <-ctx.Done():
-				close(observed)
-				return nil, ctx.Err()
-			case <-time.After(5 * time.Second):
-				return nil, errors.New("never cancelled")
-			}
-		}})
-	g.MustAdd(Spec{Key: "boom",
-		Run: func(context.Context, map[string]any) (any, error) {
-			time.Sleep(5 * time.Millisecond) // let "slow" start first
-			return nil, errors.New("hard failure")
-		}})
-	if _, err := r.Execute(context.Background(), g); err == nil {
-		t.Fatal("no error")
-	}
-	select {
-	case <-observed:
-	default:
-		t.Fatal("running job did not observe cancellation")
-	}
-}
-
+// TestParentContextCancellation checks that cancelling the caller's
+// context stops the loop: the running task finishes, the waiting ones
+// never start, and Each reports the cancellation.
 func TestParentContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	r := New(WithWorkers(1))
-	g := NewGraph()
-	g.MustAdd(Spec{Key: "waits",
-		Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}})
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := r.Execute(ctx, g); !errors.Is(err, context.Canceled) {
+	r := New(1, nil, nil, nil)
+	var ran atomic.Int64
+	err := r.Each(ctx, 3, func(i int) error {
+		ran.Add(1)
+		if i == 0 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error: %v", err)
+	}
+	if n := ran.Load(); n != 1 {
+		t.Fatalf("%d tasks ran, want only the one running at the cancel", n)
+	}
+	if err := r.Each(context.Background(), 0, nil); err != nil {
+		t.Fatalf("empty loop: %v", err)
 	}
 }
 
 func TestLogObserver(t *testing.T) {
 	var sb strings.Builder
 	var mu sync.Mutex
-	obs := LogObserver(&syncWriter{w: &sb, mu: &mu})
-	r := New(WithWorkers(2), WithObserver(obs))
-	g := NewGraph()
-	g.MustAdd(Spec{Key: "c", Kind: KindCompile, Run: ok(1)})
-	g.MustAdd(Spec{Key: "s", Kind: KindSimulate, Needs: []string{"c"}, Run: ok(2)})
-	if _, err := r.Execute(context.Background(), g); err != nil {
-		t.Fatal(err)
+	r := New(2, nil, LogObserver(&syncWriter{w: &sb, mu: &mu}), nil)
+	err := r.Each(context.Background(), 1, func(int) error {
+		if err := r.Job(KindCompile, "c", func() error { return nil }); err != nil {
+			return err
+		}
+		return r.Job(KindSimulate, "s", func() error { return errors.New("bad run") })
+	})
+	if err == nil {
+		t.Fatal("failing job not reported")
 	}
 	out := sb.String()
-	for _, want := range []string{"start", "done", "compile", "simulate"} {
+	for _, want := range []string{"start", "done", "compile", "simulate", "FAIL", "bad run"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("log lacks %q:\n%s", want, out)
 		}
@@ -336,64 +175,4 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
-}
-
-// TestStressManyGraphs hammers one Runner with many concurrent graphs
-// sharing a Flight-backed memo, asserting exactly one execution per
-// distinct key (run under -race in CI).
-func TestStressManyGraphs(t *testing.T) {
-	r := New(WithWorkers(4))
-	var flight Flight
-	var mu sync.Mutex
-	memo := map[string]int{}
-	var execs atomic.Int64
-	get := func(key string) (int, error) {
-		mu.Lock()
-		v, okc := memo[key]
-		mu.Unlock()
-		if okc {
-			return v, nil
-		}
-		res, _, err := flight.Do(key, func() (any, error) {
-			mu.Lock()
-			v, okc := memo[key]
-			mu.Unlock()
-			if okc {
-				return v, nil
-			}
-			execs.Add(1)
-			v = len(key)
-			mu.Lock()
-			memo[key] = v
-			mu.Unlock()
-			return v, nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.(int), nil
-	}
-	const graphs, keys = 8, 5
-	var wg sync.WaitGroup
-	for gi := 0; gi < graphs; gi++ {
-		g := NewGraph()
-		for k := 0; k < keys; k++ {
-			key := fmt.Sprintf("shared-%d", k)
-			g.MustAdd(Spec{Key: fmt.Sprintf("job-%d", k), Kind: KindCompile,
-				Run: func(context.Context, map[string]any) (any, error) {
-					return get(key)
-				}})
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := r.Execute(context.Background(), g); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := execs.Load(); n != keys {
-		t.Fatalf("%d executions for %d distinct keys", n, keys)
-	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Event is one entry of a job's progress stream, serialized over SSE.
 // State events mark lifecycle transitions; progress events relay the
-// runner's per-job (compile/simulate/reduce) stream.
+// runner's per-job (compile/simulate/analyze) stream.
 type Event struct {
 	Seq   int64  `json:"seq"`
 	Time  string `json:"time"` // RFC 3339, nanoseconds
@@ -17,7 +17,7 @@ type Event struct {
 	State State `json:"state,omitempty"`
 	// Key/Kind identify the runner sub-job on progress events
 	// ("simulate/g724dec/aggressive@64", "simulate"); Phase carries the
-	// runner event type (start/done/retry/fail).
+	// runner event type (start/done/fail).
 	Key       string  `json:"key,omitempty"`
 	Kind      string  `json:"kind,omitempty"`
 	Phase     string  `json:"phase,omitempty"`

@@ -624,9 +624,15 @@ func (s *Server) finalize(j *Job, state State, err error, cacheHit, shared bool)
 // worker started concurrently runs to completion instead of being
 // half-canceled).
 func (s *Server) finalizeFrom(j *Job, require, state State, err error, cacheHit, shared bool) bool {
+	// The admission counters change in the same critical section as the
+	// state a client can see, so a client that sees the job finish and
+	// submits at once is never refused on the finished job's account.
+	// Lock order: s.mu, then j.mu.
+	s.mu.Lock()
 	j.mu.Lock()
 	if j.state.Terminal() || (require != "" && j.state != require) {
 		j.mu.Unlock()
+		s.mu.Unlock()
 		return false
 	}
 	wasQueued := j.state == StateQueued
@@ -640,6 +646,18 @@ func (s *Server) finalizeFrom(j *Job, require, state State, err error, cacheHit,
 	j.finishedAt = time.Now()
 	j.res = j.resourcesLocked()
 	j.mu.Unlock()
+	if wasQueued {
+		s.queued--
+		s.gQueued.SetInt(int64(s.queued))
+	} else {
+		s.running--
+		s.gRunning.SetInt(int64(s.running))
+	}
+	s.perClient[j.client]--
+	if s.perClient[j.client] <= 0 {
+		delete(s.perClient, j.client)
+	}
+	s.mu.Unlock()
 
 	// Seal the job's trace: the root span closes with the outcome and
 	// the scope's child registry folds into the service registry, so
@@ -673,20 +691,6 @@ func (s *Server) finalizeFrom(j *Job, require, state State, err error, cacheHit,
 	}
 	s.flightrec.record(rec)
 
-	s.mu.Lock()
-	if wasQueued {
-		s.queued--
-		s.gQueued.SetInt(int64(s.queued))
-	} else {
-		s.running--
-		s.gRunning.SetInt(int64(s.running))
-	}
-	s.perClient[j.client]--
-	if s.perClient[j.client] <= 0 {
-		delete(s.perClient, j.client)
-	}
-	s.mu.Unlock()
-
 	switch state {
 	case StateDone:
 		s.cDone.Inc()
@@ -708,34 +712,38 @@ func (s *Server) finalizeFrom(j *Job, require, state State, err error, cacheHit,
 // runJob executes one queued job on a worker: store lookup first, then
 // a singleflight-deduplicated build, then an atomic store write.
 func (s *Server) runJob(j *Job) {
+	startCPU := cpuTimeNanos()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	// As in finalizeFrom, the counters move with the visible state,
+	// under s.mu then j.mu.
+	s.mu.Lock()
 	j.mu.Lock()
 	if j.state != StateQueued {
 		// Canceled while queued (drain or explicit cancel).
 		j.mu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	if j.ctx.Err() != nil {
 		j.mu.Unlock()
+		s.mu.Unlock()
 		s.finalize(j, StateCanceled, j.ctx.Err(), false, false)
 		return
 	}
 	j.state = StateRunning
 	j.startedAt = time.Now()
 	j.sampled = true
-	j.startCPU = cpuTimeNanos()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	j.startCPU = startCPU
 	j.startAllocs = ms.TotalAlloc
 	j.mu.Unlock()
-	j.queueSpan.End()
-	j.queueSpan = nil
-
-	s.mu.Lock()
 	s.queued--
 	s.running++
 	s.gQueued.SetInt(int64(s.queued))
 	s.gRunning.SetInt(int64(s.running))
 	s.mu.Unlock()
+	j.queueSpan.End()
+	j.queueSpan = nil
 	s.flightrec.record(FlightRecord{
 		Kind:    "transition",
 		JobID:   j.id,
