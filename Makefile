@@ -21,10 +21,11 @@ race:
 	$(GO) test -race ./...
 
 # bench regenerates BENCH_simulator.json (schema lpbuf/bench/v2): the
-# paper-figure benchmarks plus the raw simulator throughput bench, each
+# Figure 7 benchmarks plus the simulator throughput benches
+# (SimulatorThroughput, SimsPerSec and its PMU-sampling twin), each
 # sampled in BENCH_COUNT fresh processes so in-process caches cannot
 # flatter the numbers and benchdiff gets real per-metric variance. CI
-# runs this target and gates on the result.
+# runs this target and diffs the result against its previous run.
 bench:
 	$(GO) run ./cmd/benchjson -benchtime 1x -count $(BENCH_COUNT) -out BENCH_simulator.json
 
@@ -34,10 +35,11 @@ bench-headline:
 		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU'
 
 # benchdiff benchmarks BASE (default HEAD~1) in a detached worktree,
-# benchmarks the current tree, and runs the statistical comparison.
-# Today's harness binary is used for both sides (the base commit may
-# predate the multi-sample schema), so the two artifacts are always
-# comparable. Usage: make benchdiff [BASE=v1.2] [BENCH_COUNT=5]
+# benchmarks the current tree, and runs the statistical comparison,
+# ratio rows included. Today's harness binary is used for both sides,
+# so the two artifacts always share one schema and one set of benchmark
+# groups; both run on this host, so wall-clock rows gate too.
+# Usage: make benchdiff [BASE=v1.2] [BENCH_COUNT=5]
 benchdiff:
 	@rm -rf .benchdiff-base
 	$(GO) build -o bin/benchjson ./cmd/benchjson

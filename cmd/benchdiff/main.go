@@ -2,10 +2,14 @@
 // artifacts this repository produces:
 //
 //   - `benchdiff old.json new.json` compares two cmd/benchjson
-//     artifacts (lpbuf/bench/v1 or /v2) with the internal/obs/perfgate
+//     artifacts (lpbuf/bench/v2) with the internal/obs/perfgate
 //     statistics core — median/MAD summaries, Mann–Whitney
 //     significance, per-metric tolerance bands — prints a
 //     benchstat-style table and exits 1 on any significant regression.
+//     The same table carries perfgate's ratio rows, read within the new
+//     artifact alone: SimsPerSecPMU/SimsPerSec fails when guest-PMU
+//     sampling costs more than 10% of sims/sec. Across environments,
+//     wall-clock rows stay advisory and deterministic rows still gate.
 //   - `benchdiff -metrics old.json new.json` diffs the registry
 //     sections of two lpbuf.metrics/v1 snapshots (counter/gauge/
 //     histogram drift between runs), informational only.
@@ -15,18 +19,6 @@
 //     baselines/simstats.json with explicit tolerances, exiting 1 on
 //     functional drift. `-update-baselines` regenerates the file after
 //     an intentional change.
-//   - `benchdiff -check-throughput BENCH_simulator.json` gates the
-//     artifact's sustained batch-engine throughput (BenchmarkSimsPerSec's
-//     sims/sec medians) against baselines/throughput.json: a drop
-//     beyond tolerance on a matching environment exits 1; while no
-//     baseline is recorded, or across environments, the gate is
-//     advisory. `-update-throughput` records the artifact as the
-//     baseline (run it on the CI bench host, never in a dev container).
-//   - `benchdiff -check-pmu-overhead BENCH_simulator.json` holds the
-//     sampled guest PMU to its overhead budget by comparing the
-//     artifact's BenchmarkSimsPerSec and BenchmarkSimsPerSecPMU
-//     medians; no baseline file is involved since both numbers come
-//     from one run. `-pmu-tol` overrides the default 10% budget.
 //
 // Flags: -alpha significance level, -tol metric=frac[,metric=frac...]
 // tolerance overrides, -md FILE markdown report (the CI artifact),
@@ -58,12 +50,6 @@ func main() {
 	updateBaselines := flag.Bool("update-baselines", false, "recompute sim stats and rewrite the baseline file")
 	baselines := flag.String("baselines", "baselines/simstats.json", "sim-stat baseline file")
 	bufPctTol := flag.Float64("buffer-pct-tol", 0.5, "baseline tolerance on %buffer values, in percentage points")
-	checkThroughput := flag.Bool("check-throughput", false, "gate an artifact's sims/sec against the throughput baseline (advisory while no baseline exists)")
-	updateThroughput := flag.Bool("update-throughput", false, "record an artifact's sims/sec as the throughput baseline")
-	throughputFile := flag.String("throughput", "baselines/throughput.json", "throughput baseline file")
-	throughputTol := flag.Float64("throughput-tol", 0, "relative sims/sec drop tolerated (0 = the sims/sec default policy)")
-	checkPMUOverhead := flag.Bool("check-pmu-overhead", false, "gate PMU sampling overhead (SimsPerSec vs SimsPerSecPMU within one artifact)")
-	pmuTol := flag.Float64("pmu-tol", 0, "sims/sec fraction PMU sampling may cost (0 = the default 10% budget)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -72,97 +58,6 @@ func main() {
 	}
 
 	switch {
-	case *updateThroughput:
-		if flag.NArg() != 1 {
-			fail(fmt.Errorf("usage: benchdiff -update-throughput BENCH_simulator.json"))
-		}
-		art, err := perfgate.ReadBenchArtifact(flag.Arg(0))
-		if err != nil {
-			fail(err)
-		}
-		t, err := perfgate.ThroughputFromArtifact(art)
-		if err != nil {
-			fail(err)
-		}
-		if err := t.WriteFile(*throughputFile); err != nil {
-			fail(err)
-		}
-		fmt.Printf("benchdiff: wrote %s (%.1f sims/sec, %d samples, %s)\n",
-			*throughputFile, t.SimsPerSec, len(t.Samples), perfgate.ThroughputSchema)
-		return
-
-	case *checkThroughput:
-		if flag.NArg() != 1 {
-			fail(fmt.Errorf("usage: benchdiff -check-throughput BENCH_simulator.json"))
-		}
-		art, err := perfgate.ReadBenchArtifact(flag.Arg(0))
-		if err != nil {
-			fail(err)
-		}
-		base, err := perfgate.ReadThroughput(*throughputFile)
-		if os.IsNotExist(err) {
-			// First-run bootstrap: no recorded baseline yet. The gate is
-			// advisory until one is recorded on the bench host with
-			// -update-throughput (do not record container/dev-machine
-			// numbers — the baseline is environment-bound).
-			cur, err := perfgate.ThroughputFromArtifact(art)
-			if err != nil {
-				fail(err)
-			}
-			msg := fmt.Sprintf("no throughput baseline at %s; measured %.1f sims/sec (advisory; record with -update-throughput on the bench host)",
-				*throughputFile, cur.SimsPerSec)
-			fmt.Println("benchdiff: " + msg)
-			if *mdOut != "" {
-				md := "# throughput gate\n\n" + msg + "\n"
-				if err := os.WriteFile(*mdOut, []byte(md), 0o644); err != nil {
-					fail(err)
-				}
-			}
-			return
-		}
-		if err != nil {
-			fail(err)
-		}
-		rep, err := perfgate.CompareThroughput(base, art, *throughputTol)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(rep.Render())
-		if *mdOut != "" {
-			if err := os.WriteFile(*mdOut, []byte(rep.Markdown()), 0o644); err != nil {
-				fail(err)
-			}
-		}
-		if rep.Regression && !*advisory {
-			fmt.Fprintln(os.Stderr, "benchdiff: sims/sec regressed beyond tolerance; if intentional, rerun with -update-throughput")
-			os.Exit(1)
-		}
-		return
-
-	case *checkPMUOverhead:
-		if flag.NArg() != 1 {
-			fail(fmt.Errorf("usage: benchdiff -check-pmu-overhead BENCH_simulator.json"))
-		}
-		art, err := perfgate.ReadBenchArtifact(flag.Arg(0))
-		if err != nil {
-			fail(err)
-		}
-		rep, err := perfgate.ComparePMUOverhead(art, *pmuTol)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(rep.Render())
-		if *mdOut != "" {
-			if err := os.WriteFile(*mdOut, []byte(rep.Markdown()), 0o644); err != nil {
-				fail(err)
-			}
-		}
-		if rep.Breach && !*advisory {
-			fmt.Fprintln(os.Stderr, "benchdiff: PMU sampling overhead exceeds its budget; cheapen the sampling path or raise -pmu-tol deliberately")
-			os.Exit(1)
-		}
-		return
-
 	case *updateBaselines:
 		doc, err := collectSimStats()
 		if err != nil {

@@ -164,6 +164,12 @@ func main() {
 		fail(fmt.Errorf("unknown figure %q (known: %s, all)", *fig, strings.Join(knownFigures, ", ")))
 	}
 
+	if *benchName == "" && *fig == "" && !*all && *dump == "" && *ablate == "" &&
+		*widths == "" && !*encoding && !*headline {
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	opts := experiments.Options{Workers: *par, Verify: *doVerify}
 	if *progress {
 		opts.OnEvent = runner.LogObserver(os.Stderr)
@@ -212,9 +218,7 @@ func main() {
 	s := experiments.NewWithOptions(opts)
 	art := experiments.NewArtifact()
 
-	did := false
 	if *benchName != "" {
-		did = true
 		for _, cfg := range []string{"traditional", "aggressive" + cfgSuffix} {
 			r, err := s.RunAt(*benchName, cfg, *buffer)
 			if err != nil {
@@ -228,71 +232,56 @@ func main() {
 				r.Pass.Combined, r.Pass.Promoted, r.Pass.CLoops, r.Pass.ModuloKernels)
 		}
 	}
+	var err error
 	if *fig == "7" || *all {
-		did = true
 		art.Figure7 = map[string][]experiments.Fig7Row{}
 		for _, cfg := range []string{"traditional", "aggressive"} {
-			rows, err := s.Figure7(cfg, experiments.BufferSizes)
-			if err != nil {
+			if art.Figure7[cfg], err = s.Figure7(cfg, experiments.BufferSizes); err != nil {
 				fail(err)
 			}
-			art.Figure7[cfg] = rows
-			title := "Figure 7(a): % instruction issue from loop buffer, traditional optimization"
-			if cfg == "aggressive" {
-				title = "Figure 7(b): % instruction issue from loop buffer, hyperblock transformations"
-			}
-			fmt.Println(experiments.RenderFig7(title, rows, experiments.BufferSizes))
 		}
 	}
 	if *fig == "8a" || *all {
-		did = true
-		rows, err := s.Figure8a()
-		if err != nil {
+		if art.Figure8a, err = s.Figure8a(); err != nil {
 			fail(err)
 		}
-		art.Figure8a = rows
-		fmt.Println(experiments.RenderFig8a(rows))
 	}
 	if *fig == "8b" || *all {
-		did = true
-		rows, err := s.Figure8b()
-		if err != nil {
+		if art.Figure8b, err = s.Figure8b(); err != nil {
 			fail(err)
 		}
-		art.Figure8b = rows
-		fmt.Println(experiments.RenderFig8b(rows))
 	}
 	if *fig == "3" || *all {
-		did = true
-		f3, err := s.Figure3()
-		if err != nil {
+		if art.Figure3, err = s.Figure3(); err != nil {
 			fail(err)
 		}
-		art.Figure3 = f3
-		fmt.Println(experiments.RenderFig3(f3))
 	}
 	if *fig == "5" || *all {
-		did = true
 		for _, sz := range []int{16, 32, 64} {
 			f5, err := s.Figure5(sz)
 			if err != nil {
 				fail(err)
 			}
 			art.Figure5 = append(art.Figure5, f5)
-			fmt.Println(experiments.RenderFig5(f5))
 		}
 	}
 	if *fig == "shootout" || *all {
-		did = true
-		rows, err := s.Shootout()
-		if err != nil {
+		if art.Shootout, err = s.Shootout(); err != nil {
 			fail(err)
 		}
-		art.Shootout = rows
-		fmt.Println(experiments.RenderShootout(rows))
 	}
+	if *encoding || *all {
+		if art.Encoding, err = s.EncodingCosts(); err != nil {
+			fail(err)
+		}
+	}
+	if *headline || *all {
+		if art.Headline, err = s.ComputeHeadline(); err != nil {
+			fail(err)
+		}
+	}
+	art.Render(os.Stdout)
 	if *dump != "" {
-		did = true
 		text, err := s.DisasmConfig(*dump, "aggressive"+cfgSuffix)
 		if err != nil {
 			fail(err)
@@ -300,7 +289,6 @@ func main() {
 		fmt.Print(text)
 	}
 	if *ablate != "" {
-		did = true
 		rows, err := s.AblationBackend(*ablate, *schedBackend)
 		if err != nil {
 			fail(err)
@@ -308,34 +296,11 @@ func main() {
 		fmt.Println(experiments.RenderAblation(*ablate, rows))
 	}
 	if *widths != "" {
-		did = true
 		rows, err := s.WidthSweep(*widths)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Println(experiments.RenderWidths(*widths, rows))
-	}
-	if *encoding || *all {
-		did = true
-		rows, err := s.EncodingCosts()
-		if err != nil {
-			fail(err)
-		}
-		art.Encoding = rows
-		fmt.Println(experiments.RenderEncoding(rows))
-	}
-	if *headline || *all {
-		did = true
-		h, err := s.ComputeHeadline()
-		if err != nil {
-			fail(err)
-		}
-		art.Headline = h
-		fmt.Println(experiments.RenderHeadline(h))
-	}
-	if !did {
-		flag.Usage()
-		os.Exit(2)
 	}
 	if *doVerify || verify.Forced() {
 		st := verify.Snapshot()

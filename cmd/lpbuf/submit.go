@@ -140,7 +140,7 @@ func runSubmit(baseURL string, spec service.JobSpec, opts submitOptions) error {
 	if err != nil {
 		return err
 	}
-	renderArtifact(art)
+	art.Render(os.Stdout)
 
 	if opts.jsonOut != "" {
 		if err := os.WriteFile(opts.jsonOut, artBytes, 0o644); err != nil {
@@ -289,41 +289,5 @@ func waitTerminal(client *http.Client, base, id string) (service.JobStatus, erro
 			return st, nil
 		}
 		time.Sleep(pollInterval)
-	}
-}
-
-// renderArtifact prints whichever sections the artifact carries, in the
-// same order and format as a local run.
-func renderArtifact(art *experiments.Artifact) {
-	if art.Figure7 != nil {
-		for _, cfg := range []string{"traditional", "aggressive"} {
-			rows, ok := art.Figure7[cfg]
-			if !ok {
-				continue
-			}
-			title := "Figure 7(a): % instruction issue from loop buffer, traditional optimization"
-			if cfg == "aggressive" {
-				title = "Figure 7(b): % instruction issue from loop buffer, hyperblock transformations"
-			}
-			fmt.Println(experiments.RenderFig7(title, rows, art.BufferSizes))
-		}
-	}
-	if art.Figure8a != nil {
-		fmt.Println(experiments.RenderFig8a(art.Figure8a))
-	}
-	if art.Figure8b != nil {
-		fmt.Println(experiments.RenderFig8b(art.Figure8b))
-	}
-	if art.Figure3 != nil {
-		fmt.Println(experiments.RenderFig3(art.Figure3))
-	}
-	for _, f5 := range art.Figure5 {
-		fmt.Println(experiments.RenderFig5(f5))
-	}
-	if art.Encoding != nil {
-		fmt.Println(experiments.RenderEncoding(art.Encoding))
-	}
-	if art.Headline != nil {
-		fmt.Println(experiments.RenderHeadline(art.Headline))
 	}
 }

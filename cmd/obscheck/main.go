@@ -2,7 +2,7 @@
 // tools write: a Chrome trace-event JSON (-trace), a metrics snapshot
 // (-metrics), a Prometheus text exposition page (-prom, what lpbufd
 // serves at /metrics?format=prom), a cmd/benchjson bench artifact
-// (-bench, schema lpbuf/bench/v1 or /v2), a result artifact
+// (-bench, schema lpbuf/bench/v2), a result artifact
 // (-artifact, schema lpbuf.artifact/v1), a sampled guest-PMU profile
 // (-simprofile, schema lpbuf.simprofile/v1), and lpbufd's job codec in
 // both directions (-job-request lpbuf.job/v1, -job-status
@@ -38,7 +38,7 @@ func main() {
 	tracePath := flag.String("trace", "", "Chrome trace-event JSON to validate")
 	metricsPath := flag.String("metrics", "", "lpbuf.metrics/v1 snapshot to validate")
 	promPath := flag.String("prom", "", "Prometheus text exposition page to validate")
-	benchPath := flag.String("bench", "", "lpbuf/bench/v1 or /v2 artifact to validate")
+	benchPath := flag.String("bench", "", "lpbuf/bench/v2 artifact to validate")
 	artifactPath := flag.String("artifact", "", "lpbuf.artifact/v1 result artifact to validate")
 	jobReqPath := flag.String("job-request", "", "lpbuf.job/v1 job request to validate")
 	jobStatusPath := flag.String("job-status", "", "lpbuf.jobstatus/v1 job status to validate")
@@ -202,9 +202,8 @@ func checkJobStatus(path string) error {
 
 // checkBench validates a bench artifact through the same parser
 // cmd/benchdiff uses, so "obscheck passes" guarantees "benchdiff can
-// read it". v1 artifacts are accepted and normalized to single-sample
-// vectors; v2 artifacts additionally get their environment fingerprint
-// and sample counts echoed for the CI log.
+// read it", and echoes its environment fingerprint and sample count
+// for the CI log.
 func checkBench(path string) error {
 	art, err := perfgate.ReadBenchArtifact(path)
 	if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"lpbuf/internal/obs"
@@ -82,4 +83,44 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("artifact schema %q, want %q", a.Schema, ArtifactSchema)
 	}
 	return &a, nil
+}
+
+// Render prints the table of every section the artifact carries, in
+// the order and format of `lpbuf -all`: Figures 7, 8a, 8b, 3 and 5,
+// the scheduler shoot-out, the encoding costs and the headline. A local
+// run and `lpbuf -submit` both print through it, so the two outputs
+// are the same bytes.
+func (a *Artifact) Render(w io.Writer) {
+	for _, cfg := range []string{"traditional", "aggressive"} {
+		rows, ok := a.Figure7[cfg]
+		if !ok {
+			continue
+		}
+		title := "Figure 7(a): % instruction issue from loop buffer, traditional optimization"
+		if cfg == "aggressive" {
+			title = "Figure 7(b): % instruction issue from loop buffer, hyperblock transformations"
+		}
+		fmt.Fprintln(w, RenderFig7(title, rows, a.BufferSizes))
+	}
+	if a.Figure8a != nil {
+		fmt.Fprintln(w, RenderFig8a(a.Figure8a))
+	}
+	if a.Figure8b != nil {
+		fmt.Fprintln(w, RenderFig8b(a.Figure8b))
+	}
+	if a.Figure3 != nil {
+		fmt.Fprintln(w, RenderFig3(a.Figure3))
+	}
+	for _, f5 := range a.Figure5 {
+		fmt.Fprintln(w, RenderFig5(f5))
+	}
+	if a.Shootout != nil {
+		fmt.Fprintln(w, RenderShootout(a.Shootout))
+	}
+	if a.Encoding != nil {
+		fmt.Fprintln(w, RenderEncoding(a.Encoding))
+	}
+	if a.Headline != nil {
+		fmt.Fprintln(w, RenderHeadline(a.Headline))
+	}
 }

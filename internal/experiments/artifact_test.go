@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lpbuf/internal/runner"
@@ -141,5 +142,41 @@ func TestArtifactOmitsEmptySections(t *testing.T) {
 		if _, present := m[key]; !present {
 			t.Fatalf("empty artifact lacks %q", key)
 		}
+	}
+}
+
+// TestArtifactRenderEverySection: an artifact carrying every section
+// prints each section's table, the shoot-out included, in the order of
+// `lpbuf -all` — the output both a local run and `lpbuf -submit` show.
+func TestArtifactRenderEverySection(t *testing.T) {
+	a := goldenArtifact()
+	a.Shootout = []ShootoutRow{{Bench: "g724dec", Kernels: 5, Compared: 5, Proven: 4,
+		HeurSumII: 20, OptSumII: 20, HeurCycles: 1000, OptCycles: 1000,
+		HeurBufferPct: 90.5, OptBufferPct: 90.5, HeurStaticOps: 300, OptStaticOps: 300}}
+	want := strings.Join([]string{
+		RenderFig7("Figure 7(a): % instruction issue from loop buffer, traditional optimization",
+			a.Figure7["traditional"], a.BufferSizes),
+		RenderFig7("Figure 7(b): % instruction issue from loop buffer, hyperblock transformations",
+			a.Figure7["aggressive"], a.BufferSizes),
+		RenderFig8a(a.Figure8a),
+		RenderFig8b(a.Figure8b),
+		RenderFig3(a.Figure3),
+		RenderFig5(a.Figure5[0]),
+		RenderShootout(a.Shootout),
+		RenderEncoding(a.Encoding),
+		RenderHeadline(a.Headline),
+	}, "\n") + "\n"
+	var got bytes.Buffer
+	a.Render(&got)
+	if got.String() != want {
+		t.Fatalf("Render output differs from the per-section tables in -all order\ngot:\n%s\nwant:\n%s", got.String(), want)
+	}
+	if !strings.Contains(got.String(), "Scheduler shoot-out") {
+		t.Errorf("rendered artifact lacks the shoot-out table:\n%s", got.String())
+	}
+	got.Reset()
+	NewArtifact().Render(&got)
+	if got.Len() != 0 {
+		t.Errorf("empty artifact rendered %q", got.String())
 	}
 }

@@ -8,16 +8,13 @@ import (
 	"time"
 )
 
-// Schema identifiers for the benchmark artifacts cmd/benchjson writes.
-const (
-	BenchSchemaV1 = "lpbuf/bench/v1"
-	BenchSchemaV2 = "lpbuf/bench/v2"
-)
+// BenchSchemaV2 identifies the benchmark artifacts cmd/benchjson
+// writes.
+const BenchSchemaV2 = "lpbuf/bench/v2"
 
-// Env is the environment fingerprint recorded in a v2 artifact. Two
+// Env is the environment fingerprint recorded in an artifact. Two
 // artifacts from different environments can still be diffed, but the
-// report flags the mismatch: cross-machine wall-clock comparisons are
-// advisory at best.
+// report flags the mismatch and keeps wall-clock verdicts advisory.
 type Env struct {
 	Go         string `json:"go"`
 	OS         string `json:"os"`
@@ -30,8 +27,8 @@ type Env struct {
 // Mismatch describes how e differs from o ("" when equivalent for
 // benchmarking purposes — hostname differences alone are not flagged).
 func (e Env) Mismatch(o Env) string {
-	// Zero-valued fields mean "not recorded" (v1 artifacts carry no
-	// env), so only compare fields both sides actually have.
+	// Zero-valued fields mean "not recorded", so only compare fields
+	// both sides actually have.
 	switch {
 	case e.Go != "" && o.Go != "" && e.Go != o.Go:
 		return fmt.Sprintf("go version %s vs %s", e.Go, o.Go)
@@ -46,7 +43,7 @@ func (e Env) Mismatch(o Env) string {
 }
 
 // BenchResult is one benchmark's sample vectors: unit → one value per
-// sample (fresh process). A v1 artifact loads as length-1 vectors.
+// sample (fresh process).
 type BenchResult struct {
 	Name string `json:"name"`
 	// Iterations is the b.N of the last sample's run.
@@ -56,7 +53,7 @@ type BenchResult struct {
 	Samples map[string][]float64 `json:"samples"`
 }
 
-// BenchArtifact is the parsed artifact, normalized to v2 shape.
+// BenchArtifact is the parsed artifact.
 type BenchArtifact struct {
 	Schema    string        `json:"schema"`
 	Generated time.Time     `json:"generated"`
@@ -96,9 +93,7 @@ func (r *BenchResult) MetricNames() []string {
 	return names
 }
 
-// ReadBenchArtifact loads a lpbuf/bench/v1 or /v2 file, normalizing v1
-// point values into single-sample vectors so downstream comparison
-// code handles only one shape.
+// ReadBenchArtifact loads and validates a lpbuf/bench/v2 file.
 func ReadBenchArtifact(path string) (*BenchArtifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -115,56 +110,17 @@ func ParseBenchArtifact(data []byte) (*BenchArtifact, error) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, fmt.Errorf("not valid JSON: %v", err)
 	}
-	switch probe.Schema {
-	case BenchSchemaV2:
-		var art BenchArtifact
-		if err := json.Unmarshal(data, &art); err != nil {
-			return nil, fmt.Errorf("%s: %v", BenchSchemaV2, err)
-		}
-		if err := art.validate(); err != nil {
-			return nil, err
-		}
-		return &art, nil
-	case BenchSchemaV1:
-		var v1 struct {
-			Schema    string    `json:"schema"`
-			Generated time.Time `json:"generated"`
-			Go        string    `json:"go"`
-			OS        string    `json:"os"`
-			Arch      string    `json:"arch"`
-			Benchtime string    `json:"benchtime"`
-			Bench     string    `json:"bench"`
-			Results   []struct {
-				Name       string             `json:"name"`
-				Iterations int64              `json:"iterations"`
-				Metrics    map[string]float64 `json:"metrics"`
-			} `json:"results"`
-		}
-		if err := json.Unmarshal(data, &v1); err != nil {
-			return nil, fmt.Errorf("%s: %v", BenchSchemaV1, err)
-		}
-		art := &BenchArtifact{
-			Schema:    v1.Schema,
-			Generated: v1.Generated,
-			Env:       Env{Go: v1.Go, OS: v1.OS, Arch: v1.Arch},
-			Benchtime: v1.Benchtime,
-			Count:     1,
-			Bench:     v1.Bench,
-		}
-		for _, r := range v1.Results {
-			nr := BenchResult{Name: r.Name, Iterations: r.Iterations, Samples: map[string][]float64{}}
-			for unit, v := range r.Metrics {
-				nr.Samples[unit] = []float64{v}
-			}
-			art.Results = append(art.Results, nr)
-		}
-		if err := art.validate(); err != nil {
-			return nil, err
-		}
-		return art, nil
-	default:
-		return nil, fmt.Errorf("unknown bench schema %q (want %s or %s)", probe.Schema, BenchSchemaV1, BenchSchemaV2)
+	if probe.Schema != BenchSchemaV2 {
+		return nil, fmt.Errorf("unknown bench schema %q (want %s)", probe.Schema, BenchSchemaV2)
 	}
+	var art BenchArtifact
+	if err := json.Unmarshal(data, &art); err != nil {
+		return nil, fmt.Errorf("%s: %v", BenchSchemaV2, err)
+	}
+	if err := art.validate(); err != nil {
+		return nil, err
+	}
+	return &art, nil
 }
 
 // validate checks the invariants obscheck and benchdiff both rely on.

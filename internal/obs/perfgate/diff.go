@@ -3,7 +3,6 @@ package perfgate
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -47,6 +46,19 @@ func DefaultPolicies() map[string]Policy {
 		// better.
 		"sims/sec": {Tol: 0.10, Dir: HigherIsBetter},
 	}
+}
+
+// ratioPolicies are the policy rows Compare reads within the new
+// artifact alone: Bench's Metric samples are judged against Base's
+// under Policy, with Base in the old column. Both sides come from one
+// run, so the row needs no recorded baseline and holds on any host.
+var ratioPolicies = []struct {
+	Bench, Base, Metric string
+	Policy
+}{
+	// Guest-PMU sampling at its default period may cost at most 10% of
+	// the sampling-off batch throughput.
+	{"SimsPerSecPMU", "SimsPerSec", "sims/sec", Policy{Tol: 0.10, Dir: HigherIsBetter}},
 }
 
 // policyFor resolves the policy for one metric: explicit override,
@@ -110,7 +122,8 @@ type Options struct {
 	// Alpha is the significance level for the Mann–Whitney gate
 	// (default 0.05).
 	Alpha float64
-	// Policies overrides per-metric tolerance bands.
+	// Policies overrides per-metric tolerance bands of old-vs-new rows;
+	// a ratio row keeps its own band.
 	Policies map[string]Policy
 	// MinSamples is the per-side sample count below which a noisy
 	// metric's tolerance breach stays advisory ("~") instead of
@@ -155,15 +168,20 @@ func (r *Report) Regressions() int {
 	return n
 }
 
-// Compare diffs two artifacts metric by metric. Row order follows the
-// old artifact's benchmark order (new-only benchmarks append at the
-// end), with metrics sorted within a benchmark.
+// Compare diffs two artifacts metric by metric, then appends one row
+// per ratio policy whose two benchmarks the new artifact carries. Row
+// order follows the old artifact's benchmark order (new-only
+// benchmarks append at the end), with metrics sorted within a
+// benchmark. When the environments differ, old-vs-new rows of noisy
+// metrics stay advisory ("~") beyond tolerance; deterministic rows, and
+// ratio rows, which read one artifact, still gate.
 func Compare(old, cur *BenchArtifact, opts Options) *Report {
 	opts = opts.withDefaults()
 	rep := &Report{Alpha: opts.Alpha}
 	if note := old.Env.Mismatch(cur.Env); note != "" {
 		rep.EnvNote = "environments differ: " + note + "; wall-clock comparisons are advisory"
 	}
+	crossEnv := rep.EnvNote != ""
 	for _, name := range old.Names() {
 		or := old.Result(name)
 		nr := cur.Result(name)
@@ -176,7 +194,7 @@ func Compare(old, cur *BenchArtifact, opts Options) *Report {
 			rep.Rows = append(rep.Rows, Row{Bench: name, Metric: "*", Verdict: v, Note: note, P: math.NaN()})
 			continue
 		}
-		rep.Rows = append(rep.Rows, compareResult(or, nr, opts)...)
+		rep.Rows = append(rep.Rows, compareResult(or, nr, opts, crossEnv)...)
 	}
 	for _, name := range cur.Names() {
 		if old.Result(name) == nil {
@@ -184,11 +202,21 @@ func Compare(old, cur *BenchArtifact, opts Options) *Report {
 				Note: "benchmark only in new artifact", P: math.NaN()})
 		}
 	}
+	for _, rp := range ratioPolicies {
+		bench, base := cur.Result(rp.Bench), cur.Result(rp.Base)
+		if bench == nil || base == nil || bench.Samples[rp.Metric] == nil || base.Samples[rp.Metric] == nil {
+			continue
+		}
+		row := compareMetric(rp.Bench+"/"+rp.Base, rp.Metric, rp.Policy,
+			base.Samples[rp.Metric], bench.Samples[rp.Metric], opts, false)
+		row.Note = strings.TrimSuffix("within new artifact; "+row.Note, "; ")
+		rep.Rows = append(rep.Rows, row)
+	}
 	return rep
 }
 
 // compareResult diffs one benchmark's metrics.
-func compareResult(or, nr *BenchResult, opts Options) []Row {
+func compareResult(or, nr *BenchResult, opts Options, crossEnv bool) []Row {
 	var rows []Row
 	for _, unit := range or.MetricNames() {
 		os_ := or.Samples[unit]
@@ -203,7 +231,7 @@ func compareResult(or, nr *BenchResult, opts Options) []Row {
 				Verdict: v, Note: note, P: math.NaN()})
 			continue
 		}
-		rows = append(rows, compareMetric(or.Name, unit, os_, ns, opts))
+		rows = append(rows, compareMetric(or.Name, unit, policyFor(unit, opts.Policies), os_, ns, opts, crossEnv))
 	}
 	for _, unit := range nr.MetricNames() {
 		if _, ok := or.Samples[unit]; !ok {
@@ -215,9 +243,10 @@ func compareResult(or, nr *BenchResult, opts Options) []Row {
 }
 
 // compareMetric applies the tolerance band and significance gate to
-// one metric's sample vectors.
-func compareMetric(bench, unit string, oldS, newS []float64, opts Options) Row {
-	pol := policyFor(unit, opts.Policies)
+// one metric's sample vectors. crossEnv keeps a noisy metric's
+// tolerance breach advisory: wall clock measured on two different
+// machines proves nothing either way.
+func compareMetric(bench, unit string, pol Policy, oldS, newS []float64, opts Options, crossEnv bool) Row {
 	row := Row{Bench: bench, Metric: unit, Old: summarize(oldS), New: summarize(newS), P: math.NaN()}
 	if row.Old.Median != 0 {
 		row.Delta = (row.New.Median - row.Old.Median) / math.Abs(row.Old.Median)
@@ -247,6 +276,11 @@ func compareMetric(bench, unit string, oldS, newS []float64, opts Options) Row {
 		} else {
 			row.Verdict = VerdictImprovement
 		}
+		return row
+	}
+	if crossEnv {
+		row.Verdict = VerdictInsig
+		row.Note = "beyond tolerance; environments differ"
 		return row
 	}
 	if min(row.Old.N, row.New.N) < opts.MinSamples {
@@ -407,15 +441,4 @@ func verdictCell(row Row) string {
 		s += " (" + row.Note + ")"
 	}
 	return s
-}
-
-// SortRows orders rows by (bench, metric) — used by callers that merge
-// reports before rendering.
-func SortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Bench != rows[j].Bench {
-			return rows[i].Bench < rows[j].Bench
-		}
-		return rows[i].Metric < rows[j].Metric
-	})
 }

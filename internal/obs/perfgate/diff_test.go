@@ -240,37 +240,13 @@ func TestPolicyOverride(t *testing.T) {
 	}
 }
 
-// TestV1ArtifactParsesAsSingleSample: the previous schema loads and
-// diffs against a v2 artifact.
-func TestV1ArtifactParsesAsSingleSample(t *testing.T) {
-	v1 := []byte(`{
-	  "schema": "lpbuf/bench/v1",
-	  "go": "go1.24.0", "os": "linux", "arch": "amd64",
-	  "benchtime": "1x", "bench": "x",
-	  "results": [
-	    {"name": "Figure7Traditional", "iterations": 1,
-	     "metrics": {"ns/op": 2233446082, "%buffer@256": 32.65}}
-	  ]
-	}`)
-	art, err := ParseBenchArtifact(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := art.Result("Figure7Traditional")
-	if r == nil || len(r.Samples["ns/op"]) != 1 || r.Samples["%buffer@256"][0] != 32.65 {
-		t.Fatalf("v1 normalization wrong: %+v", art)
-	}
-	cur := artifact(map[string]map[string][]float64{
-		"Figure7Traditional": {"ns/op": {2.23e9}, "%buffer@256": {32.65}},
-	})
-	if n := Compare(art, cur, Options{}).Regressions(); n != 0 {
-		t.Errorf("v1 vs identical v2 regressions = %d, want 0", n)
-	}
-}
-
+// TestParseBenchArtifactRejectsMalformed: broken or foreign
+// documents, the retired single-sample lpbuf/bench/v1 schema included,
+// fail to load instead of diffing as empty artifacts.
 func TestParseBenchArtifactRejectsMalformed(t *testing.T) {
 	cases := []string{
 		`{"schema": "lpbuf/bench/v3"}`,
+		`{"schema": "lpbuf/bench/v1", "results": [{"name": "A", "metrics": {"ns/op": 1}}]}`,
 		`{"schema": "lpbuf/bench/v2", "results": []}`,
 		`{"schema": "lpbuf/bench/v2", "results": [{"name": "A", "samples": {"B/op": [1]}}]}`,
 		`{"schema": "lpbuf/bench/v2", "results": [{"name": "A", "samples": {"ns/op": [1, 2], "B/op": [1]}}]}`,
@@ -292,6 +268,130 @@ func TestEnvMismatchNoted(t *testing.T) {
 	rep := Compare(old, cur, Options{})
 	if rep.EnvNote == "" || !strings.Contains(rep.EnvNote, "go version") {
 		t.Errorf("env note = %q, want go version mismatch", rep.EnvNote)
+	}
+}
+
+// TestCrossEnvironmentWallClockIsAdvisory: when the report notes that
+// the environments differ, a wall-clock breach that would fail on one
+// machine is "~" and does not count, while a deterministic drift in the
+// same comparison still fails.
+func TestCrossEnvironmentWallClockIsAdvisory(t *testing.T) {
+	old := artifact(map[string]map[string][]float64{
+		"S": {"ns/op": {100, 101, 99, 100, 102}, "%buffer@256": {90.67, 90.67, 90.67, 90.67, 90.67}},
+	})
+	cur := artifact(map[string]map[string][]float64{
+		"S": {"ns/op": {120, 121, 119, 120, 122}, "%buffer@256": {90.67, 90.67, 90.67, 90.67, 90.67}},
+	})
+	if row := findRow(t, Compare(old, cur, Options{}), "S", "ns/op"); row.Verdict != VerdictRegression {
+		t.Fatalf("same-environment +20%% ns/op verdict = %s, want REGRESSION", row.Verdict)
+	}
+	cur.Env.NumCPU = 1
+	rep := Compare(old, cur, Options{})
+	if !strings.Contains(rep.EnvNote, "8 vs 1 CPUs") {
+		t.Errorf("env note = %q, want the CPU mismatch", rep.EnvNote)
+	}
+	if row := findRow(t, rep, "S", "ns/op"); row.Verdict != VerdictInsig {
+		t.Errorf("cross-environment ns/op verdict = %s, want %s", row.Verdict, VerdictInsig)
+	}
+	if n := rep.Regressions(); n != 0 {
+		t.Errorf("cross-environment wall clock counted as %d regression(s):\n%s", n, rep.Render())
+	}
+	cur.Result("S").Samples["%buffer@256"] = []float64{88.67, 88.67, 88.67, 88.67, 88.67}
+	if n := Compare(old, cur, Options{}).Regressions(); n != 1 {
+		t.Errorf("cross-environment deterministic drift regressions = %d, want 1", n)
+	}
+}
+
+// simsPerSec builds an artifact whose benchmarks report sims/sec
+// samples beside a steady ns/op (which every result must carry).
+func simsPerSec(env Env, benches map[string][]float64) *BenchArtifact {
+	results := map[string]map[string][]float64{}
+	for name, samples := range benches {
+		ns := make([]float64, len(samples))
+		for i := range ns {
+			ns[i] = 1e9
+		}
+		results[name] = map[string][]float64{"ns/op": ns, "sims/sec": samples}
+	}
+	art := artifact(results)
+	art.Env = env
+	return art
+}
+
+// TestSimsPerSecGate: sustained batch throughput gates through Compare
+// on a 10% higher-is-better band — small drops pass, a significant
+// large drop fails on one machine but is advisory across machines, and
+// an improvement never fails.
+func TestSimsPerSecGate(t *testing.T) {
+	env := Env{Go: "go1.24", OS: "linux", Arch: "amd64", NumCPU: 8}
+	base := simsPerSec(env, map[string][]float64{"SimsPerSec": {100, 101, 99, 100, 102}})
+	cases := []struct {
+		name    string
+		env     Env
+		samples []float64
+		want    Verdict
+	}{
+		{"-5% drop", env, []float64{95, 96, 94, 95, 97}, VerdictOK},
+		{"-20% drop", env, []float64{80, 81, 79, 80, 82}, VerdictRegression},
+		{"-20% drop across environments", Env{Go: "go1.24", OS: "linux", Arch: "amd64", NumCPU: 1},
+			[]float64{80, 81, 79, 80, 82}, VerdictInsig},
+		{"+30% improvement", env, []float64{130, 131, 129, 130, 132}, VerdictImprovement},
+	}
+	for _, c := range cases {
+		cur := simsPerSec(c.env, map[string][]float64{"SimsPerSec": c.samples})
+		rep := Compare(base, cur, Options{})
+		row := findRow(t, rep, "SimsPerSec", "sims/sec")
+		if row.Verdict != c.want {
+			t.Errorf("%s: verdict = %s (delta %+.3f, p=%v), want %s", c.name, row.Verdict, row.Delta, row.P, c.want)
+		}
+		if wantReg := c.want == VerdictRegression; (rep.Regressions() > 0) != wantReg {
+			t.Errorf("%s: Regressions() = %d", c.name, rep.Regressions())
+		}
+	}
+}
+
+// TestPMUOverheadRatioRow: the sampled PMU's cost is a ratio row read
+// within the new artifact — SimsPerSecPMU may trail SimsPerSec by at
+// most 10% — that prints in the table and counts as a regression, and
+// is absent when either benchmark is.
+func TestPMUOverheadRatioRow(t *testing.T) {
+	env := Env{Go: "go1.24", OS: "linux", Arch: "amd64", NumCPU: 8}
+	off := []float64{100, 101, 99, 100, 102}
+	for _, c := range []struct {
+		name string
+		on   []float64
+		want Verdict
+	}{
+		{"-7% overhead", []float64{93, 94, 92, 93, 95}, VerdictOK},
+		{"-15% overhead", []float64{85, 86, 84, 85, 87}, VerdictRegression},
+	} {
+		// Old and new are the same run, so every old-vs-new row is ok
+		// and only the ratio row can fail. A -tol override of sims/sec
+		// widens those rows, never the ratio's fixed budget.
+		art := simsPerSec(env, map[string][]float64{"SimsPerSec": off, "SimsPerSecPMU": c.on})
+		for _, opts := range []Options{{}, {Policies: map[string]Policy{"sims/sec": {Tol: 0.5, Dir: HigherIsBetter}}}} {
+			rep := Compare(art, art, opts)
+			row := findRow(t, rep, "SimsPerSecPMU/SimsPerSec", "sims/sec")
+			if row.Verdict != c.want || row.Old.Median != 100 {
+				t.Errorf("%s: ratio row = %+v, want verdict %s against the 100 sims/sec base", c.name, row, c.want)
+			}
+			if wantReg := c.want == VerdictRegression; (rep.Regressions() == 1) != wantReg {
+				t.Errorf("%s: Regressions() = %d:\n%s", c.name, rep.Regressions(), rep.Render())
+			}
+			if out := rep.Render(); !strings.Contains(out, "SimsPerSecPMU/SimsPerSec") {
+				t.Errorf("%s: ratio row missing from the table:\n%s", c.name, out)
+			}
+		}
+	}
+	for _, missing := range []string{"SimsPerSec", "SimsPerSecPMU"} {
+		benches := map[string][]float64{"SimsPerSec": off, "SimsPerSecPMU": {85, 86, 84, 85, 87}}
+		delete(benches, missing)
+		art := simsPerSec(env, benches)
+		for _, row := range Compare(art, art, Options{}).Rows {
+			if strings.Contains(row.Bench, "/") {
+				t.Errorf("without %s: unexpected ratio row %+v", missing, row)
+			}
+		}
 	}
 }
 

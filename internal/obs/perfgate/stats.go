@@ -1,12 +1,14 @@
 // Package perfgate is the repository's performance/statistics
 // regression sentinel: a dependency-free statistics core (median, MAD,
-// Mann–Whitney significance, bootstrap confidence intervals), readers
-// for the lpbuf/bench/v1 and /v2 artifacts cmd/benchjson writes, a
-// benchstat-style comparison with per-metric tolerance bands and
-// direction policies, and a golden sim-stat baseline format capturing
-// the paper-level numbers (Figure 7 buffer-issue percentages, dynamic
-// op and fetch counts, normalized fetch energy) so functional drift is
-// caught even when wall-clock numbers look fine.
+// Mann–Whitney significance), the reader for the lpbuf/bench/v2
+// artifacts cmd/benchjson writes, one benchstat-style comparison
+// driven by a policy table — per-metric tolerance bands and
+// directions, plus ratio rows that hold one benchmark of the new
+// artifact against another (the sampled PMU's sims/sec cost) — and a
+// golden sim-stat baseline format capturing the paper-level numbers
+// (Figure 7 buffer-issue percentages, dynamic op and fetch counts,
+// normalized fetch energy) so functional drift is caught even when
+// wall-clock numbers look fine.
 //
 // cmd/benchdiff is the CLI over this package; the tier-1 baseline test
 // at the repository root and the CI perf job are its two standing
@@ -167,60 +169,4 @@ func exactMannWhitneyP(n1, n2 int, u float64) float64 {
 		p = 1
 	}
 	return p
-}
-
-// rng is a small deterministic xorshift64* generator: bootstrap
-// resampling must be reproducible (the workflow and its tests rerun
-// the same comparison and expect the same confidence interval), so we
-// do not use math/rand's global source.
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &rng{s: seed}
-}
-
-func (r *rng) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545f4914f6cdd1d
-}
-
-// intn returns a uniform int in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// BootstrapMedianDeltaCI estimates a percentile confidence interval
-// for median(b) - median(a) by resampling each side iters times with a
-// deterministic generator. conf is the two-sided confidence level
-// (e.g. 0.95). Degenerate inputs return a zero-width interval at the
-// point estimate.
-func BootstrapMedianDeltaCI(a, b []float64, iters int, conf float64) (lo, hi float64) {
-	delta := Median(b) - Median(a)
-	if len(a) == 0 || len(b) == 0 || iters <= 0 {
-		return delta, delta
-	}
-	r := newRNG(uint64(len(a)*1000003 + len(b)))
-	deltas := make([]float64, iters)
-	sa := make([]float64, len(a))
-	sb := make([]float64, len(b))
-	for i := 0; i < iters; i++ {
-		for j := range sa {
-			sa[j] = a[r.intn(len(a))]
-		}
-		for j := range sb {
-			sb[j] = b[r.intn(len(b))]
-		}
-		deltas[i] = Median(sb) - Median(sa)
-	}
-	sort.Float64s(deltas)
-	alpha := (1 - conf) / 2
-	loIdx := int(alpha * float64(iters))
-	hiIdx := int((1 - alpha) * float64(iters))
-	if hiIdx >= iters {
-		hiIdx = iters - 1
-	}
-	return deltas[loIdx], deltas[hiIdx]
 }

@@ -91,25 +91,3 @@ func TestMannWhitneyTiesUseApproximation(t *testing.T) {
 		t.Errorf("tied separated samples p = %v, want < 0.01", p)
 	}
 }
-
-func TestBootstrapMedianDeltaCI(t *testing.T) {
-	a := []float64{100, 101, 99, 100, 102}
-	b := []float64{110, 111, 109, 110, 112}
-	lo, hi := BootstrapMedianDeltaCI(a, b, 500, 0.95)
-	if lo > hi {
-		t.Fatalf("inverted interval [%v, %v]", lo, hi)
-	}
-	if lo <= 0 {
-		t.Errorf("CI lower bound %v should be positive for a clear +10 shift", lo)
-	}
-	// Deterministic: same inputs, same interval.
-	lo2, hi2 := BootstrapMedianDeltaCI(a, b, 500, 0.95)
-	if lo != lo2 || hi != hi2 {
-		t.Errorf("bootstrap not deterministic: [%v,%v] vs [%v,%v]", lo, hi, lo2, hi2)
-	}
-	// Degenerate inputs collapse to the point estimate.
-	lo, hi = BootstrapMedianDeltaCI(nil, b, 500, 0.95)
-	if lo != hi {
-		t.Errorf("empty side CI = [%v,%v], want zero width", lo, hi)
-	}
-}

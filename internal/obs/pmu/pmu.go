@@ -11,7 +11,8 @@
 // The contract that makes this a PMU and not a debug mode: with
 // sampling disabled the simulator hot path stays zero-alloc (a nil
 // check per bundle), and at the default period the enabled cost is
-// bounded (gated advisorily by `benchdiff -check-pmu-overhead`).
+// bounded: benchdiff's SimsPerSecPMU/SimsPerSec row fails when
+// sampling costs more than 10% of sims/sec.
 //
 // Profiles export three ways: a versioned lpbuf.simprofile/v1 JSON
 // document, collapsed-stack (flamegraph) text, and Perfetto counter
