@@ -336,8 +336,7 @@ func (st *state) execBlock(f *ir.Func, fc *funcCounters, b *ir.Block,
 
 		case op.IsLoad():
 			if guard {
-				addr := regs[op.Src[0]] + op.Imm
-				v, lerr := st.loadMem(op.Opcode, addr)
+				v, lerr := ir.Load(st.mem, op.Opcode, regs[op.Src[0]]+op.Imm)
 				if lerr != nil {
 					if op.Speculative {
 						v = 0 // speculative loads squash faults
@@ -350,8 +349,7 @@ func (st *state) execBlock(f *ir.Func, fc *funcCounters, b *ir.Block,
 
 		case op.IsStore():
 			if guard {
-				addr := regs[op.Src[0]] + op.Imm
-				if serr := st.storeMem(op.Opcode, addr, regs[op.Src[1]]); serr != nil {
+				if serr := ir.Store(st.mem, op.Opcode, regs[op.Src[0]]+op.Imm, regs[op.Src[1]]); serr != nil {
 					return 0, 0, false, fmt.Errorf("%s in %s B%d: %v", op, f.Name, b.ID, serr)
 				}
 			}
@@ -443,59 +441,4 @@ func (st *state) execBlock(f *ir.Func, fc *funcCounters, b *ir.Block,
 		}
 	}
 	return b.Fall, 0, false, nil
-}
-
-func (st *state) loadMem(opc ir.Opcode, addr int64) (int64, error) {
-	sz := memSize(opc)
-	if addr < 0 || addr+sz > int64(len(st.mem)) {
-		return 0, fmt.Errorf("load out of range: addr=%d size=%d", addr, sz)
-	}
-	switch opc {
-	case ir.OpLdB:
-		return int64(int8(st.mem[addr])), nil
-	case ir.OpLdBU:
-		return int64(st.mem[addr]), nil
-	case ir.OpLdH:
-		return int64(int16(uint16(st.mem[addr]) | uint16(st.mem[addr+1])<<8)), nil
-	case ir.OpLdHU:
-		return int64(uint16(st.mem[addr]) | uint16(st.mem[addr+1])<<8), nil
-	case ir.OpLdW:
-		v := uint32(st.mem[addr]) | uint32(st.mem[addr+1])<<8 |
-			uint32(st.mem[addr+2])<<16 | uint32(st.mem[addr+3])<<24
-		return int64(int32(v)), nil
-	}
-	return 0, fmt.Errorf("not a load: %s", opc)
-}
-
-func (st *state) storeMem(opc ir.Opcode, addr, v int64) error {
-	sz := memSize(opc)
-	if addr < 0 || addr+sz > int64(len(st.mem)) {
-		return fmt.Errorf("store out of range: addr=%d size=%d", addr, sz)
-	}
-	switch opc {
-	case ir.OpStB:
-		st.mem[addr] = byte(v)
-	case ir.OpStH:
-		st.mem[addr] = byte(v)
-		st.mem[addr+1] = byte(uint64(v) >> 8)
-	case ir.OpStW:
-		st.mem[addr] = byte(v)
-		st.mem[addr+1] = byte(uint64(v) >> 8)
-		st.mem[addr+2] = byte(uint64(v) >> 16)
-		st.mem[addr+3] = byte(uint64(v) >> 24)
-	default:
-		return fmt.Errorf("not a store: %s", opc)
-	}
-	return nil
-}
-
-func memSize(opc ir.Opcode) int64 {
-	switch opc {
-	case ir.OpLdB, ir.OpLdBU, ir.OpStB:
-		return 1
-	case ir.OpLdH, ir.OpLdHU, ir.OpStH:
-		return 2
-	default:
-		return 4
-	}
 }

@@ -153,20 +153,9 @@ func (ai *AliasInfo) MayAlias(a, b *ir.Op, sameBaseStable bool) bool {
 	}
 	if sameBaseStable && a.Src[0] == b.Src[0] {
 		ax, bx := a.Imm, b.Imm
-		if ax+memWidth(a) <= bx || bx+memWidth(b) <= ax {
+		if ax+ir.MemWidth(a.Opcode) <= bx || bx+ir.MemWidth(b.Opcode) <= ax {
 			return false
 		}
 	}
 	return true
-}
-
-func memWidth(op *ir.Op) int64 {
-	switch op.Opcode {
-	case ir.OpLdB, ir.OpLdBU, ir.OpStB:
-		return 1
-	case ir.OpLdH, ir.OpLdHU, ir.OpStH:
-		return 2
-	default:
-		return 4
-	}
 }

@@ -56,10 +56,8 @@ func RunBatch(code *sched.Code, plans []*BufferPlan, opts BatchOptions) ([]*Resu
 		code: code,
 		mem:  make([]byte, code.Prog.MemSize),
 		opts: opts.Options,
-		dbg:  newDebugLog(opts.Options),
 		fctx: map[*sched.FuncCode]*funcCtx{},
 	}
-	s.fastOK = s.dbg == nil && !opts.NoFastPath
 	if s.opts.MaxCycles == 0 {
 		s.opts.MaxCycles = 4e9
 	}

@@ -17,9 +17,9 @@ import (
 // jobs — shares one decode. The image is immutable after construction;
 // racing decoders build identical images and either store wins.
 
-// dkind is the decoded dispatch class of a micro-op. The execution
-// switch in exec.go/kernel.go branches on this enum instead of the
-// full opcode space.
+// dkind is the decoded dispatch class of a micro-op. The op switch in
+// issueRun (sim.go) branches on this enum instead of the full opcode
+// space.
 type dkind uint8
 
 const (
@@ -88,8 +88,7 @@ func aluKindOf(opc ir.Opcode) aluKind {
 // resolved at decode time: operand routing (register vs immediate),
 // result latency, predicate destinations, branch target bundle and
 // loop-back flag, and the callee's scheduled code for calls. The
-// original *ir.Op is retained only for error messages and the debug
-// trace.
+// original *ir.Op is retained only for error messages.
 type dop struct {
 	kind dkind
 	opc  ir.Opcode
@@ -133,7 +132,7 @@ type dop struct {
 	// unknown-callee error at issue time).
 	callee *sched.FuncCode
 
-	// op backs error messages and the VLIW_TRACE debug stream.
+	// op backs error messages.
 	op *ir.Op
 }
 
@@ -268,9 +267,9 @@ func (d *dop) writesReg(r ir.Reg) bool {
 	return false
 }
 
-// decodeOp resolves one scheduled op into d, mirroring the operand
-// conventions of the interpretive switch exactly (see exec in sim.go):
-// the immediate, when present, stands in the last source slot.
+// decodeOp resolves one scheduled op into d under the IR's operand
+// convention (the interpreter's src helper): the immediate, when
+// present, stands in the last source slot.
 func decodeOp(code *sched.Code, so *sched.SOp, d *dop) {
 	op := so.Op
 	d.opc = op.Opcode

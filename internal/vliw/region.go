@@ -3,7 +3,6 @@ package vliw
 import (
 	"fmt"
 
-	"lpbuf/internal/ir"
 	"lpbuf/internal/obs"
 	"lpbuf/internal/sched"
 )
@@ -33,10 +32,12 @@ import (
 // Anything the fast path cannot reproduce bit-exactly — calls, returns,
 // undecodable ops, non-linear fallthrough, plans that straddle region
 // boundaries — disqualifies the region (or the account alignment) and
-// falls back to the interpretive loop. Side exits, faults and the cycle
-// limit share the interpretive code paths (resolveControl, the same
-// error construction), so penalties, redirect events and errors are
-// bit-identical. The differential fast-path test pins all of this.
+// falls back to the interpretive loop. A trip's ops issue through
+// issueRun, the interpretive path's own op switch, and its exits share
+// resolveControl, so op semantics, faults, the cycle limit, penalties
+// and redirect events are the interpretive path's by construction; only
+// the fetch accounting differs in form. The differential fast-path test
+// and the oracle's fast-vs-interpretive contract pin all of this.
 
 // testRegionEnter, when non-nil, observes every loop-region fast-path
 // entry with some planned account. Test hook only (set by non-parallel
@@ -84,7 +85,7 @@ func (s *sim) funcCtxOf(fc *sched.FuncCode) *funcCtx {
 	for ai, a := range s.accts {
 		fx.tabs[ai] = a.buf.loopsFor(fc.F.Name)
 	}
-	if s.fastOK && len(df.regions) > 0 {
+	if !s.opts.NoFastPath && len(df.regions) > 0 {
 		fx.regionUse = make([]bool, len(df.regions))
 		fx.regionPls = make([][]*PlannedLoop, len(df.regions))
 		for ri := range df.regions {
@@ -349,7 +350,9 @@ func (s *sim) flushRegion(fc *sched.FuncCode, df *decodedFunc, r *region, iterBa
 // per-iteration bookkeeping and residency events happen exactly as on
 // the interpretive path. Within a trip the fetch verdict is invariant
 // (the buffer state machine can only transition at the head), which is
-// what lets per-bundle accounting collapse to per-trip sums.
+// what lets per-bundle accounting collapse to per-trip sums. The trip's
+// bundles issue through issueRun in one call, which returns at the
+// first branch or at the region end.
 func (s *sim) runRegion(f *frame, fx *funcCtx, ri int, sc *scratch) (int, error) {
 	df := fx.df
 	r := &df.regions[ri]
@@ -364,8 +367,6 @@ func (s *sim) runRegion(f *frame, fx *funcCtx, ri int, sc *scratch) (int, error)
 		}
 	}
 	start := int(r.start)
-	n := int(r.end) - start
-	maxC := s.opts.MaxCycles
 	for {
 		iterBase := s.now
 		for ai, a := range s.accts {
@@ -375,230 +376,36 @@ func (s *sim) runRegion(f *frame, fx *funcCtx, ri int, sc *scratch) (int, error)
 				s.fromBuf[ai], s.lss[ai] = false, nil
 			}
 		}
-		var nullified int64
-		for j := 0; j < n; j++ {
-			if s.now > maxC {
-				s.flushRegion(fc, df, r, iterBase, j)
-				return 0, fmt.Errorf("vliw: cycle limit exceeded in %s (pc %d)", fc.F.Name, start+j)
+		end, nullified, err := s.issueRun(f, df, start, int(r.end), sc)
+		// The trip fetched bundles [start, end): account them, take
+		// their samples and flush their events before any exit-path
+		// event, so every ring's order matches the interpretive path.
+		// A predicted loop-back (streaming account) resolves to zero
+		// penalty and no event inside resolveControl.
+		count := end - start
+		if err != nil {
+			s.flushRegion(fc, df, r, iterBase, count)
+			return 0, err
+		}
+		s.accountTrip(r.opsUpTo[count], nullified)
+		if s.pmu != nil && s.pmu.Next() < iterBase+int64(count) {
+			s.sampleTrip(fc, fx, ri, iterBase, count)
+		}
+		s.flushRegion(fc, df, r, iterBase, count)
+		next := -2
+		if len(sc.branches) != 0 {
+			next = s.resolveControl(fc, end-1, sc)
+		}
+		s.tick(f)
+		if next == -2 {
+			if next = int(df.bundles[end-1].fall); next < 0 {
+				return 0, fmt.Errorf("vliw: fell off end of %s", fc.F.Name)
 			}
-			db := &df.bundles[start+j]
-			sc.branches = sc.branches[:0]
-			sc.stores = sc.stores[:0]
-			for i := range db.ops {
-				d := &db.ops[i]
-				guard := true
-				if d.guard != 0 {
-					guard = s.readPred(f, d.guard)
-				}
-				if !guard && d.kind != dCmpP {
-					nullified++
-					continue
-				}
-				switch d.kind {
-				case dNop:
-
-				case dALU:
-					var a, b int64
-					if d.aImm {
-						a = d.imm
-					} else {
-						a = s.readReg(f, d.a)
-					}
-					if !d.unary {
-						if d.bImm {
-							b = d.imm
-						} else {
-							b = s.readReg(f, d.b)
-						}
-					}
-					var v int64
-					switch d.alu {
-					case aAdd:
-						v = ir.W32(a + b)
-					case aSub:
-						v = ir.W32(a - b)
-					case aMov:
-						v = ir.W32(a)
-					case aAbs:
-						if a < 0 {
-							a = -a
-						}
-						v = ir.W32(a)
-					case aMul:
-						v = ir.W32(a * b)
-					case aAnd:
-						v = ir.W32(a & b)
-					case aOr:
-						v = ir.W32(a | b)
-					case aXor:
-						v = ir.W32(a ^ b)
-					case aShl:
-						v = ir.W32(a << (uint64(b) & 31))
-					default:
-						v = ir.EvalALU(d.opc, d.cmp, a, b)
-					}
-					if d.direct {
-						f.regs[d.dest] = v
-					} else if d.lat == 1 {
-						s.writeRegFast(f, d.dest, v)
-					} else {
-						s.writeReg(f, d.dest, v, d.lat)
-					}
-
-				case dCmpP:
-					var a, b int64
-					if d.aImm {
-						a = d.imm
-					} else {
-						a = s.readReg(f, d.a)
-					}
-					if d.bImm {
-						b = d.imm
-					} else {
-						b = s.readReg(f, d.b)
-					}
-					cond := d.cmp.Eval(a, b)
-					for pi := uint8(0); pi < d.nPD; pi++ {
-						pd := d.pd[pi]
-						v, w := pd.Type.Update(guard, cond)
-						if w {
-							if d.lat == 1 {
-								s.writePredFast(f, pd.Pred, v)
-							} else {
-								s.writePred(f, pd.Pred, v, d.lat)
-							}
-						}
-					}
-
-				case dSel:
-					v := s.readReg(f, d.b)
-					if s.readReg(f, d.a) == 0 {
-						v = s.readReg(f, d.c)
-					}
-					if d.direct {
-						f.regs[d.dest] = v
-					} else if d.lat == 1 {
-						s.writeRegFast(f, d.dest, v)
-					} else {
-						s.writeReg(f, d.dest, v, d.lat)
-					}
-
-				case dLoad:
-					addr := s.readReg(f, d.a) + d.imm
-					v, err := s.load(d.opc, addr)
-					if err != nil {
-						if d.spec {
-							v = 0
-						} else {
-							s.flushRegion(fc, df, r, iterBase, j+1)
-							return 0, fmt.Errorf("%s in %s pc=%d: %v", d.op, fc.F.Name, start+j, err)
-						}
-					}
-					if d.direct {
-						f.regs[d.dest] = v
-					} else if d.lat == 1 {
-						s.writeRegFast(f, d.dest, v)
-					} else {
-						s.writeReg(f, d.dest, v, d.lat)
-					}
-
-				case dStore:
-					addr := s.readReg(f, d.a) + d.imm
-					val := s.readReg(f, d.b)
-					sc.stores = append(sc.stores, storeAction{opc: d.opc, addr: addr, val: val})
-					if e := s.checkStore(d.opc, addr); e != nil {
-						s.flushRegion(fc, df, r, iterBase, j+1)
-						return 0, fmt.Errorf("%s in %s pc=%d: %v", d.op, fc.F.Name, start+j, e)
-					}
-
-				case dBr:
-					var a, b int64
-					if d.aImm {
-						a = d.imm
-					} else {
-						a = s.readReg(f, d.a)
-					}
-					if d.bImm {
-						b = d.imm
-					} else {
-						b = s.readReg(f, d.b)
-					}
-					if d.cmp.Eval(a, b) {
-						sc.branches = append(sc.branches, branchAction{d: d, taken: true})
-					} else if d.loopBack {
-						sc.branches = append(sc.branches, branchAction{d: d, taken: false})
-					}
-
-				case dJump:
-					sc.branches = append(sc.branches, branchAction{d: d, taken: true})
-
-				case dBrCLoop:
-					c := ir.W32(s.readReg(f, d.a) - 1)
-					if d.direct {
-						f.regs[d.dest] = c
-					} else if d.lat == 1 {
-						s.writeRegFast(f, d.dest, c)
-					} else {
-						s.writeReg(f, d.dest, c, d.lat)
-					}
-					sc.branches = append(sc.branches, branchAction{d: d, taken: c > 0})
-				}
-			}
-
-			// Commit stores at end of cycle.
-			for _, st := range sc.stores {
-				_ = s.store(st.opc, st.addr, st.val)
-			}
-
-			if len(sc.branches) == 0 {
-				if j < n-1 {
-					// Linear fallthrough inside the region (the builder
-					// checked fall == pc+1).
-					s.tick(f)
-					continue
-				}
-				// Fell past the region end with no branch decision: the
-				// trip is complete; resume interpretively at the fall
-				// target (for loops, the fetch there closes any open
-				// residency).
-				s.accountTrip(r.opsUpTo[n], nullified)
-				if s.pmu != nil && s.pmu.Next() < iterBase+int64(n) {
-					s.sampleTrip(fc, fx, ri, iterBase, n)
-				}
-				s.flushRegion(fc, df, r, iterBase, n)
-				s.tick(f)
-				next := int(db.fall)
-				if next < 0 {
-					return 0, fmt.Errorf("vliw: fell off end of %s", fc.F.Name)
-				}
-				return next, nil
-			}
-
-			// A branch resolves this cycle: account the partial trip,
-			// flush its events, then share the interpretive
-			// control-resolution code so per-account penalties, redirect
-			// events and buffer-leave transitions are bit-identical. A
-			// predicted loop-back (streaming account) resolves to zero
-			// penalty and no event inside resolveControl.
-			s.accountTrip(r.opsUpTo[j+1], nullified)
-			if s.pmu != nil && s.pmu.Next() <= iterBase+int64(j) {
-				s.sampleTrip(fc, fx, ri, iterBase, j+1)
-			}
-			s.flushRegion(fc, df, r, iterBase, j+1)
-			next := s.resolveControl(fc, start+j, sc)
-			s.tick(f)
-			if next == -2 {
-				next = int(db.fall)
-				if next < 0 {
-					return 0, fmt.Errorf("vliw: fell off end of %s", fc.F.Name)
-				}
-			}
-			if r.loop && next == start {
-				// Loop-back to the region head: next trip (its head
-				// fetch does the per-iteration bookkeeping).
-				break
-			}
+		}
+		if !r.loop || next != start {
 			return next, nil
 		}
+		// Loop-back to the region head: next trip (its head fetch does
+		// the per-iteration bookkeeping).
 	}
 }

@@ -8,7 +8,6 @@ package vliw
 
 import (
 	"fmt"
-	"io"
 
 	"lpbuf/internal/ir"
 	"lpbuf/internal/machine"
@@ -89,15 +88,11 @@ type Options struct {
 	// TraceLabel names this run in emitted events (e.g.
 	// "g724dec/aggressive@64").
 	TraceLabel string
-	// DebugWriter receives the per-bundle debug trace (the old
-	// VLIW_TRACE printf stream). Nil falls back to stderr when the
-	// VLIW_TRACE environment variable is set, else off.
-	DebugWriter io.Writer
 	// NoFastPath forces the interpretive per-bundle path, disabling the
-	// pre-decoded region fast path (see region.go). Results, statistics,
-	// memory and obs events are bit-identical either way — the
-	// differential fast-path test pins that — so this exists only for
-	// that test and for debugging.
+	// region fast path (see region.go). Results, statistics, memory, obs
+	// events and PMU samples are bit-identical either way — the
+	// differential tests and the oracle's fast-vs-interpretive contract
+	// pin that — so this exists only as their reference path.
 	NoFastPath bool
 	// Engine, when non-nil, supplies pooled per-sim scratch (activation
 	// frames, event buffers) shared across runs; see batch.go. Nil runs
@@ -204,11 +199,8 @@ type sim struct {
 	// one-account batch, so every path below is the batch path.
 	accts []*account
 	opts  Options
-	dbg   *debugLog
-	// fastOK gates the region replay fast path: off under the
-	// per-bundle debug trace (which wants every fetch printed) or when
-	// Options.NoFastPath forces the interpretive path.
-	fastOK bool
+	// depth is the call depth of the executing activation.
+	depth int
 	// evScratch backs the region runner's batched SimIssue emission.
 	evScratch []obs.SimEvent
 	// framePool recycles activation frames per callee.
@@ -565,10 +557,6 @@ func (s *sim) run(fc *sched.FuncCode) (int64, error) {
 	return ret, err
 }
 
-type callCtx struct {
-	depth int
-}
-
 // branchAction and storeAction defer control-flow and memory effects
 // to end-of-cycle commit. Plain values (no closures) so the exec
 // scratch buffers stay allocation-free in steady state.
@@ -583,21 +571,24 @@ type storeAction struct {
 	val  int64
 }
 
-// scratch holds the per-activation issue buffers, reused across
-// cycles; nested calls recurse into execDepth and get their own.
+// scratch holds one activation's issue state, reused across cycles;
+// a call's activation gets its own. branches and stores are the
+// current bundle's deferred effects. retired/retVal and callNext
+// report a return or a call in the bundle (only the interpretive path
+// issues those, and resets them before each bundle).
 type scratch struct {
 	branches []branchAction
 	stores   []storeAction
+	retired  bool
+	retVal   int64
+	callNext int
 }
 
-// exec runs from bundle pc until return.
+// exec is the interpretive path: it runs from bundle pc until return,
+// one bundle at a time, handing each region head it reaches to the
+// region runner (see region.go).
 func (s *sim) exec(f *frame, pc int) (int64, error) {
-	depth := 0
-	return s.execDepth(f, pc, &callCtx{depth: depth})
-}
-
-func (s *sim) execDepth(f *frame, pc int, cc *callCtx) (int64, error) {
-	if cc.depth > s.opts.MaxDepth {
+	if s.depth > s.opts.MaxDepth {
 		return 0, fmt.Errorf("vliw: call depth exceeded in %s", f.fc.F.Name)
 	}
 	fc := f.fc
@@ -618,12 +609,12 @@ func (s *sim) execDepth(f *frame, pc int, cc *callCtx) (int64, error) {
 
 		// Region fast path: at the head of a replayable region — a
 		// resident loop or a straight-line run — whole trips execute
-		// through the pre-decoded region runner (see region.go) with
-		// per-trip batched accounting for every account, provided each
-		// account's plan aligns with the region. The runner does the
-		// per-trip head fetch itself, so all buffer-state transitions
-		// (entry, record→replay, exit) happen exactly as interpretively.
-		if s.fastOK && len(df.regionHead) > 0 {
+		// through the region runner with per-trip batched accounting for
+		// every account, provided each account's plan aligns with the
+		// region. The runner does the per-trip head fetch itself, so all
+		// buffer-state transitions (entry, record→replay, exit) happen
+		// exactly as interpretively.
+		if !s.opts.NoFastPath && len(df.regionHead) > 0 {
 			if ri := df.regionHead[pc]; ri >= 0 && fx.regionUse[ri] {
 				next, err := s.runRegion(f, fx, int(ri), &sc)
 				if err != nil {
@@ -634,17 +625,13 @@ func (s *sim) execDepth(f *frame, pc int, cc *callCtx) (int64, error) {
 			}
 		}
 
-		// EQ model: no interlocks. Reads sample the register file at
-		// issue time; the compiler is responsible for timing (the
-		// scheduler pads section ends and shadows branches).
-
 		db := &df.bundles[pc]
 		nOps := int64(len(db.ops))
 		// PMU sampling: the clock is compared against the issue cycle
 		// once per bundle (sampling off costs exactly this nil check).
-		// The region fast path above reconstructs the same firings
-		// analytically per trip (see sampleTrip), so both paths sample
-		// identical cycles.
+		// The region runner reconstructs the same firings analytically
+		// per trip (see sampleTrip), so both paths sample identical
+		// cycles.
 		sample := s.pmu != nil && s.now >= s.pmu.Next()
 		// Per-account loop-buffer bookkeeping for this fetch, issue
 		// event, and fetch statistics (per-bundle sums: every op in the
@@ -687,21 +674,65 @@ func (s *sim) execDepth(f *frame, pc int, cc *callCtx) (int64, error) {
 		if sample {
 			s.pmu.Fire(s.now)
 		}
-		if s.dbg != nil {
-			s.dbg.printf("t=%d pc=%d buf=%v\n", s.now, pc, s.fromBuf[0])
+
+		sc.retired, sc.callNext = false, -1
+		_, nullified, err := s.issueRun(f, df, pc, pc+1, &sc)
+		if err != nil {
+			return 0, err
 		}
+		if nullified != 0 {
+			for _, a := range s.accts {
+				a.stats.OpsNullified += nullified
+			}
+		}
+		if sc.retired {
+			return sc.retVal, nil
+		}
+		if sc.callNext >= 0 {
+			pc = sc.callNext
+			s.tick(f)
+			continue
+		}
+		next := -2
+		if len(sc.branches) != 0 {
+			next = s.resolveControl(fc, pc, &sc)
+		}
+		s.tick(f)
+		if next == -2 {
+			if next = int(db.fall); next < 0 {
+				return 0, fmt.Errorf("vliw: fell off end of %s", fc.F.Name)
+			}
+		}
+		pc = next
+	}
+}
+
+// issueRun is the one op switch: it issues the bundles from pc on in
+// sequence, one per cycle, and returns after the first bundle that
+// resolves a branch or after bundle end-1, without advancing the clock
+// past that last bundle. Each bundle's ops read their operands at
+// issue, queue their results on the writeback wheel and commit their
+// stores at the end of the cycle. The interpretive path issues one
+// bundle at a time (end = pc+1), calls and returns included; the region
+// runner issues a whole trip, so the per-bundle path of a trip makes no
+// call. It returns the end of the bundles it fetched and the number of
+// ops their false guards nullified; on an error the last fetched bundle
+// is the faulting one, or, at the cycle limit, the one before it.
+func (s *sim) issueRun(f *frame, df *decodedFunc, pc, end int, sc *scratch) (int, int64, error) {
+	maxC := s.opts.MaxCycles
+	var nullified int64
+	for ; ; pc++ {
+		if s.now > maxC {
+			return pc, nullified, fmt.Errorf("vliw: cycle limit exceeded in %s (pc %d)", f.fc.F.Name, pc)
+		}
+		// EQ model: no interlocks. Reads sample the register file at
+		// issue time; the compiler is responsible for timing (the
+		// scheduler pads section ends and shadows branches).
+		db := &df.bundles[pc]
 		sc.branches = sc.branches[:0]
 		sc.stores = sc.stores[:0]
-		retired := false
-		var retVal int64
-		callNext := -1
-		var nullified int64
-
 		for i := range db.ops {
 			d := &db.ops[i]
-			if s.dbg != nil {
-				s.dbg.printf("  issue %s\n", d.op)
-			}
 			guard := true
 			if d.guard != 0 {
 				guard = s.readPred(f, d.guard)
@@ -800,14 +831,12 @@ func (s *sim) execDepth(f *frame, pc int, cc *callCtx) (int64, error) {
 				}
 
 			case dLoad:
-				addr := s.readReg(f, d.a) + d.imm
-				v, err := s.load(d.opc, addr)
+				v, err := ir.Load(s.mem, d.opc, s.readReg(f, d.a)+d.imm)
 				if err != nil {
-					if d.spec {
-						v = 0
-					} else {
-						return 0, fmt.Errorf("%s in %s pc=%d: %v", d.op, fc.F.Name, pc, err)
+					if !d.spec {
+						return pc + 1, nullified, fmt.Errorf("%s in %s pc=%d: %v", d.op, f.fc.F.Name, pc, err)
 					}
+					v = 0 // speculative loads squash faults
 				}
 				if d.direct {
 					f.regs[d.dest] = v
@@ -819,11 +848,10 @@ func (s *sim) execDepth(f *frame, pc int, cc *callCtx) (int64, error) {
 
 			case dStore:
 				addr := s.readReg(f, d.a) + d.imm
-				val := s.readReg(f, d.b)
-				sc.stores = append(sc.stores, storeAction{opc: d.opc, addr: addr, val: val})
-				if e := s.checkStore(d.opc, addr); e != nil {
-					return 0, fmt.Errorf("%s in %s pc=%d: %v", d.op, fc.F.Name, pc, e)
+				if err := ir.CheckAccess(s.mem, d.opc, addr); err != nil {
+					return pc + 1, nullified, fmt.Errorf("%s in %s pc=%d: %v", d.op, f.fc.F.Name, pc, err)
 				}
+				sc.stores = append(sc.stores, storeAction{opc: d.opc, addr: addr, val: s.readReg(f, d.b)})
 
 			case dBr:
 				var a, b int64
@@ -858,62 +886,40 @@ func (s *sim) execDepth(f *frame, pc int, cc *callCtx) (int64, error) {
 				sc.branches = append(sc.branches, branchAction{d: d, taken: c > 0})
 
 			case dCall:
-				rv, next, err := s.execCall(f, d, pc, cc, df)
+				rv, next, err := s.execCall(f, d, pc, df)
 				if err != nil {
-					return 0, err
+					return pc + 1, nullified, err
 				}
 				if len(d.op.Dest) > 0 {
 					s.writeRegFast(f, d.dest, rv)
 				}
-				callNext = next
+				sc.callNext = next
 
 			case dRet:
-				retVal = s.readReg(f, d.a)
-				retired = true
+				sc.retVal = s.readReg(f, d.a)
+				sc.retired = true
 
 			default:
-				return 0, fmt.Errorf("vliw: unhandled op %s", d.op)
+				return pc + 1, nullified, fmt.Errorf("vliw: unhandled op %s", d.op)
 			}
 		}
-
-		if nullified != 0 {
-			for _, a := range s.accts {
-				a.stats.OpsNullified += nullified
-			}
-		}
-		// Commit stores at end of cycle.
 		for _, st := range sc.stores {
-			_ = s.store(st.opc, st.addr, st.val)
+			// Bounds were checked at issue.
+			_ = ir.Store(s.mem, st.opc, st.addr, st.val)
 		}
-		if retired {
-			return retVal, nil
+		if len(sc.branches) != 0 || pc+1 == end {
+			return pc + 1, nullified, nil
 		}
-		if callNext >= 0 {
-			pc = callNext
-			s.tick(f)
-			continue
-		}
-
-		next := -2
-		if len(sc.branches) != 0 {
-			next = s.resolveControl(fc, pc, &sc)
-		}
+		// Linear fallthrough inside a region (the builder checked
+		// fall == pc+1).
 		s.tick(f)
-		if next != -2 {
-			pc = next
-		} else {
-			pc = int(db.fall)
-			if pc < 0 {
-				return 0, fmt.Errorf("vliw: fell off end of %s", fc.F.Name)
-			}
-		}
 	}
 }
 
 // execCall performs one call op: transfers into the callee (recursing
 // via Go), charges call/return redirect penalties and returns the
 // callee's value plus the bundle to resume at.
-func (s *sim) execCall(f *frame, d *dop, pc int, cc *callCtx, df *decodedFunc) (int64, int, error) {
+func (s *sim) execCall(f *frame, d *dop, pc int, df *decodedFunc) (int64, int, error) {
 	if d.callee == nil {
 		return 0, 0, fmt.Errorf("vliw: call to unknown %q", d.op.Callee)
 	}
@@ -931,9 +937,9 @@ func (s *sim) execCall(f *frame, d *dop, pc int, cc *callCtx, df *decodedFunc) (
 				Run: a.label, Func: d.op.Callee, PC: int32(pc)})
 		}
 	}
-	cc.depth++
-	rv, err := s.execDepth(nf, 0, cc)
-	cc.depth--
+	s.depth++
+	rv, err := s.exec(nf, 0)
+	s.depth--
 	if err != nil {
 		return 0, 0, err
 	}
@@ -996,59 +1002,4 @@ func (s *sim) resolveControl(fc *sched.FuncCode, pc int, sc *scratch) int {
 		break
 	}
 	return next
-}
-
-func (s *sim) load(opc ir.Opcode, addr int64) (int64, error) {
-	sz := memSize(opc)
-	if addr < 0 || addr+sz > int64(len(s.mem)) {
-		return 0, fmt.Errorf("load out of range addr=%d", addr)
-	}
-	switch opc {
-	case ir.OpLdB:
-		return int64(int8(s.mem[addr])), nil
-	case ir.OpLdBU:
-		return int64(s.mem[addr]), nil
-	case ir.OpLdH:
-		return int64(int16(uint16(s.mem[addr]) | uint16(s.mem[addr+1])<<8)), nil
-	case ir.OpLdHU:
-		return int64(uint16(s.mem[addr]) | uint16(s.mem[addr+1])<<8), nil
-	default:
-		v := uint32(s.mem[addr]) | uint32(s.mem[addr+1])<<8 |
-			uint32(s.mem[addr+2])<<16 | uint32(s.mem[addr+3])<<24
-		return int64(int32(v)), nil
-	}
-}
-
-func (s *sim) checkStore(opc ir.Opcode, addr int64) error {
-	if addr < 0 || addr+memSize(opc) > int64(len(s.mem)) {
-		return fmt.Errorf("store out of range addr=%d", addr)
-	}
-	return nil
-}
-
-func (s *sim) store(opc ir.Opcode, addr, v int64) error {
-	switch opc {
-	case ir.OpStB:
-		s.mem[addr] = byte(v)
-	case ir.OpStH:
-		s.mem[addr] = byte(v)
-		s.mem[addr+1] = byte(uint64(v) >> 8)
-	default:
-		s.mem[addr] = byte(v)
-		s.mem[addr+1] = byte(uint64(v) >> 8)
-		s.mem[addr+2] = byte(uint64(v) >> 16)
-		s.mem[addr+3] = byte(uint64(v) >> 24)
-	}
-	return nil
-}
-
-func memSize(opc ir.Opcode) int64 {
-	switch opc {
-	case ir.OpLdB, ir.OpLdBU, ir.OpStB:
-		return 1
-	case ir.OpLdH, ir.OpLdHU, ir.OpStH:
-		return 2
-	default:
-		return 4
-	}
 }
