@@ -1,12 +1,16 @@
 package experiments
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // memo computes each key's value at most once and shares it with every
 // caller, concurrent ones included: a caller that asks for a key whose
 // computation is in flight waits for it instead of starting another.
-// A failed computation is forgotten, so the next call for its key
-// computes it again. The zero value is ready to use.
+// A failed or panicking computation is forgotten, so the next call for
+// its key computes it again; callers waiting on a panicking one get
+// errComputePanicked. The zero value is ready to use.
 type memo[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*memoEntry[V]
@@ -34,15 +38,25 @@ func (m *memo[K, V]) get(key K, compute func() (V, error)) (v V, hit bool, err e
 	m.entries[key] = e
 	m.mu.Unlock()
 
+	// Until compute returns, the entry reads as failed, so a panic that
+	// unwinds through here forgets it and releases its waiters on the
+	// way up.
+	e.err = errComputePanicked
+	defer func() {
+		if e.err != nil {
+			m.mu.Lock()
+			delete(m.entries, key)
+			m.mu.Unlock()
+		}
+		close(e.done)
+	}()
 	e.v, e.err = compute()
-	if e.err != nil {
-		m.mu.Lock()
-		delete(m.entries, key)
-		m.mu.Unlock()
-	}
-	close(e.done)
 	return e.v, false, e.err
 }
+
+// errComputePanicked is what callers waiting on a computation get when
+// it panics; the panic itself goes on up the computing caller's stack.
+var errComputePanicked = errors.New("memoized computation panicked")
 
 // peek returns key's value if a computation of it has succeeded,
 // without waiting for one in flight.

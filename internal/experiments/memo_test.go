@@ -80,3 +80,35 @@ func TestMemoForgetsFailures(t *testing.T) {
 		t.Fatalf("second get = %v (hit %v), want the memoized 3", v, hit)
 	}
 }
+
+// TestMemoForgetsPanics checks that a panicking computation neither
+// strands the callers waiting on it nor sticks to its key: the panic
+// reaches the computing caller, the entry's waiters are released with
+// an error, and the next call for the key computes again.
+func TestMemoForgetsPanics(t *testing.T) {
+	var m memo[string, int]
+	var e *memoEntry[int]
+	func() {
+		defer func() {
+			if v := recover(); v != "boom" {
+				t.Fatalf("recovered %v, want the computation's panic", v)
+			}
+		}()
+		_, _, _ = m.get("k", func() (int, error) {
+			e = m.entries["k"]
+			panic("boom")
+		})
+	}()
+	select {
+	case <-e.done:
+	default:
+		t.Fatal("waiters of a panicked computation stay blocked")
+	}
+	if !errors.Is(e.err, errComputePanicked) {
+		t.Fatalf("waiters see err %v, want errComputePanicked", e.err)
+	}
+	v, hit, err := m.get("k", func() (int, error) { return 5, nil })
+	if err != nil || hit || v != 5 {
+		t.Fatalf("retry after a panic: %v %v %v", v, hit, err)
+	}
+}

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"lpbuf/internal/obs"
@@ -98,5 +99,52 @@ func TestGaugeAdd(t *testing.T) {
 	<-done[1]
 	if _, queued := gauges(reg); queued != 0 {
 		t.Fatalf("shared queue_depth gauge = %v after both loops, want 0", queued)
+	}
+}
+
+// TestJobPanicIsItsError checks that a panicking job fails like any
+// other: Job returns an error carrying the panic value and the stack,
+// the fail event and the failed-job count record it, and the
+// in-flight gauge settles to zero.
+func TestJobPanicIsItsError(t *testing.T) {
+	m := NewMetrics()
+	var events []Event
+	r := New(1, m, func(e Event) { events = append(events, e) }, nil)
+	err := r.Job(KindCompile, "boom", func() error { panic("kaboom") })
+	if err == nil || !strings.Contains(err.Error(), "panic: kaboom") ||
+		!strings.Contains(err.Error(), "TestJobPanicIsItsError") {
+		t.Fatalf("Job error = %v, want the panic value and the stack", err)
+	}
+	if len(events) != 2 || events[1].Type != EventFail {
+		t.Fatalf("events = %+v, want start then fail", events)
+	}
+	if snap := m.Snapshot(); snap.JobsFailed != 1 {
+		t.Fatalf("jobs failed = %d, want 1", snap.JobsFailed)
+	}
+	if inFlight, _ := gauges(m.Registry()); inFlight != 0 {
+		t.Fatalf("jobs_in_flight = %v after a panicking job, want 0", inFlight)
+	}
+}
+
+// TestEachTaskPanicIsItsError checks that a task panicking outside any
+// Job fails its loop with the panic as the error instead of killing
+// the process, and frees its worker.
+func TestEachTaskPanicIsItsError(t *testing.T) {
+	m := NewMetrics()
+	r := New(1, m, nil, nil)
+	err := r.Each(context.Background(), 3, func(i int) error {
+		if i == 1 {
+			panic("task kaboom")
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "panic: task kaboom") {
+		t.Fatalf("Each error = %v, want the task's panic", err)
+	}
+	if _, queued := gauges(m.Registry()); queued != 0 {
+		t.Fatalf("queue_depth = %v after the loop, want 0", queued)
+	}
+	if err := r.Each(context.Background(), 1, func(int) error { return nil }); err != nil {
+		t.Fatalf("loop after a panicking task: %v", err)
 	}
 }

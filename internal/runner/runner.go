@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -64,8 +65,9 @@ func (r *Runner) Metrics() *Metrics { return r.metrics }
 // Each runs fn(i) for every i in [0, n), starting tasks in index order
 // as workers free up. The first error, or a cancelled ctx, stops the
 // tasks that have not started; Each waits for the started ones and
-// returns that error. Tasks waiting for a worker count in the
-// runner.queue_depth gauge.
+// returns that error. A task that panics fails with the panic as its
+// error. Tasks waiting for a worker count in the runner.queue_depth
+// gauge.
 func (r *Runner) Each(ctx context.Context, n int, fn func(i int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -82,7 +84,7 @@ func (r *Runner) Each(ctx context.Context, n int, fn func(i int) error) error {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-r.sem }()
-			if err := fn(i); err != nil {
+			if err := catch(func() error { return fn(i) }); err != nil {
 				errOnce.Do(func() { firstErr = err; cancel() })
 			}
 		}(started)
@@ -114,15 +116,17 @@ func (r *Runner) acquire(ctx context.Context) bool {
 
 // Job runs fn as one recorded job: it emits the start and done (or
 // fail) events, records a job.<kind> span and a Metrics entry, and
-// returns fn's error prefixed with the job's kind and key. Job takes no
-// worker: it runs inside a task that already holds one.
+// returns fn's error prefixed with the job's kind and key. A panic in
+// fn is the job's error, so the failure is recorded like any other and
+// leaves no job in flight. Job takes no worker: it runs inside a task
+// that already holds one.
 func (r *Runner) Job(kind Kind, key string, fn func() error) error {
 	inFlight := r.metrics.jobStart()
 	r.emit(Event{Type: EventStart, Key: key, Kind: kind, InFlight: inFlight})
 	span := r.trace.StartSpan("job." + string(kind))
 	span.SetAttr("key", key)
 	start := time.Now()
-	err := fn()
+	err := catch(fn)
 	elapsed := time.Since(start)
 	r.metrics.jobDone(kind, key, elapsed, err)
 	span.SetAttr("ok", err == nil)
@@ -141,4 +145,15 @@ func (r *Runner) emit(e Event) {
 	}
 	e.Time = time.Now()
 	r.onEvent(e)
+}
+
+// catch runs fn, turning a panic in it into an error that carries the
+// panic value and the panicking goroutine's stack.
+func catch(fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
+		}
+	}()
+	return fn()
 }
