@@ -368,6 +368,11 @@ func (s *sim) runRegion(f *frame, fx *funcCtx, ri int, sc *scratch) (int, error)
 	}
 	start := int(r.start)
 	for {
+		// As on the interpretive path, a run past the cycle limit stops
+		// before the fetch, so the head fetch's buffer events stay out.
+		if s.now > s.opts.MaxCycles {
+			return 0, cycleLimit(fc, start)
+		}
 		iterBase := s.now
 		for ai, a := range s.accts {
 			if pls[ai] != nil || a.buf.cur != nil {

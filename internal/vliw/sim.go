@@ -601,7 +601,7 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 	var sc scratch
 	for {
 		if s.now > maxC {
-			return 0, fmt.Errorf("vliw: cycle limit exceeded in %s (pc %d)", fc.F.Name, pc)
+			return 0, cycleLimit(fc, pc)
 		}
 		if pc < 0 || pc >= len(df.bundles) {
 			return 0, fmt.Errorf("vliw: pc %d out of range in %s", pc, fc.F.Name)
@@ -715,16 +715,15 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 // stores at the end of the cycle. The interpretive path issues one
 // bundle at a time (end = pc+1), calls and returns included; the region
 // runner issues a whole trip, so the per-bundle path of a trip makes no
-// call. It returns the end of the bundles it fetched and the number of
-// ops their false guards nullified; on an error the last fetched bundle
-// is the faulting one, or, at the cycle limit, the one before it.
+// call. Callers check the cycle limit before their fetch of bundle pc;
+// issueRun checks it before each later bundle. It returns the end of
+// the bundles it fetched and the number of ops their false guards
+// nullified; on an error the last fetched bundle is the faulting one,
+// or, at the cycle limit, the one before the bundle it stopped.
 func (s *sim) issueRun(f *frame, df *decodedFunc, pc, end int, sc *scratch) (int, int64, error) {
 	maxC := s.opts.MaxCycles
 	var nullified int64
 	for ; ; pc++ {
-		if s.now > maxC {
-			return pc, nullified, fmt.Errorf("vliw: cycle limit exceeded in %s (pc %d)", f.fc.F.Name, pc)
-		}
 		// EQ model: no interlocks. Reads sample the register file at
 		// issue time; the compiler is responsible for timing (the
 		// scheduler pads section ends and shadows branches).
@@ -913,7 +912,14 @@ func (s *sim) issueRun(f *frame, df *decodedFunc, pc, end int, sc *scratch) (int
 		// Linear fallthrough inside a region (the builder checked
 		// fall == pc+1).
 		s.tick(f)
+		if s.now > maxC {
+			return pc + 1, nullified, cycleLimit(f.fc, pc+1)
+		}
 	}
+}
+
+func cycleLimit(fc *sched.FuncCode, pc int) error {
+	return fmt.Errorf("vliw: cycle limit exceeded in %s (pc %d)", fc.F.Name, pc)
 }
 
 // execCall performs one call op: transfers into the callee (recursing
