@@ -216,14 +216,22 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles), "sim-cycles/run")
 }
 
+// sweepsPerIter is how many full buffer sweeps one b.N iteration of
+// the SimsPerSec pair runs. One sweep takes ~80-110 ms on a 2-core
+// host, so a single-iteration sample (`make bench` runs -benchtime 1x)
+// spans ~0.6-0.9 s instead of one sweep's worth of scheduler and GC
+// noise. The pair's ns/op, B/op and allocs/op cover all the sweeps.
+const sweepsPerIter = 8
+
 // BenchmarkSimsPerSec measures sustained batched-sweep throughput in
 // verified simulations per second: each iteration runs the heaviest
-// benchmark's full Figure 7 buffer sweep through the batch engine
-// (core.RunSweep → vliw.RunBatch), the workload lpbufd jobs and figure
-// regenerations are made of. It compiles directly through core —
-// bypassing the suite's run cache — so every iteration simulates for
-// real. benchdiff holds its sims/sec to a 10% higher-is-better band
-// against the previous run (perfgate's sims/sec policy).
+// benchmark's full Figure 7 buffer sweep sweepsPerIter times through
+// the batch engine (core.RunSweep → vliw.RunBatch), the workload lpbufd
+// jobs and figure regenerations are made of. It compiles directly
+// through core — bypassing the suite's run cache — so every sweep
+// simulates for real. benchdiff holds its sims/sec to a 10%
+// higher-is-better band against the previous run (perfgate's sims/sec
+// policy).
 func BenchmarkSimsPerSec(b *testing.B) {
 	bm, ok := suite.ByName("g724enc")
 	if !ok {
@@ -239,7 +247,7 @@ func BenchmarkSimsPerSec(b *testing.B) {
 	engine := vliw.NewEngine()
 	b.ResetTimer()
 	sims := 0
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N*sweepsPerIter; i++ {
 		results, err := c.RunSweep(experiments.BufferSizes, engine)
 		if err != nil {
 			b.Fatal(err)
@@ -250,7 +258,7 @@ func BenchmarkSimsPerSec(b *testing.B) {
 }
 
 // BenchmarkSimsPerSecPMU is BenchmarkSimsPerSec with guest-PMU
-// sampling at the default period. benchdiff reads the pair as
+// sampling at the default period, sweepsPerIter sweeps per iteration. benchdiff reads the pair as
 // perfgate's SimsPerSecPMU/SimsPerSec ratio row: within one artifact,
 // sampling may cost at most 10% of the sampling-off sims/sec.
 func BenchmarkSimsPerSecPMU(b *testing.B) {
@@ -270,7 +278,7 @@ func BenchmarkSimsPerSecPMU(b *testing.B) {
 	b.ResetTimer()
 	sims := 0
 	samples := int64(0)
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N*sweepsPerIter; i++ {
 		results, err := c.RunSweep(experiments.BufferSizes, engine)
 		if err != nil {
 			b.Fatal(err)

@@ -106,14 +106,14 @@ func CheckWith(prog *ir.Program, backend string) error {
 			}
 			plans[i] = loopbuffer.Plan(c.Code, c.Prof, sz)
 			solo[i] = res.Stats
-			if err := checkFastPath(c.Code, plans[i], cfg.EntryArgs); err != nil {
+			if err := checkFastPath(c.Code, plans[i]); err != nil {
 				return fmt.Errorf("%s/buf%d: fast vs interpretive: %w", cfg.Name, sz, err)
 			}
 		}
-		if err := checkBatch(c.Code, plans, solo, cfg.EntryArgs); err != nil {
+		if err := checkBatch(c.Code, plans, solo); err != nil {
 			return fmt.Errorf("%s: batch vs solo: %w", cfg.Name, err)
 		}
-		if err := checkPMU(c.Code, plans, solo, cfg.EntryArgs); err != nil {
+		if err := checkPMU(c.Code, plans, solo); err != nil {
 			return fmt.Errorf("%s: pmu: %w", cfg.Name, err)
 		}
 	}
@@ -123,11 +123,11 @@ func CheckWith(prog *ir.Program, backend string) error {
 // checkFastPath runs plan on the region fast path and on the
 // interpretive path, each with the cycle-level event ring on, and
 // requires identical results and event streams.
-func checkFastPath(code *sched.Code, plan *vliw.BufferPlan, args []int64) error {
+func checkFastPath(code *sched.Code, plan *vliw.BufferPlan) error {
 	run := func(noFast bool) (*vliw.Result, *obs.Obs, error) {
 		o := obs.New(obs.Config{SimEvents: true, SimRingSize: eventRing})
-		res, err := vliw.Run(code, plan, vliw.Options{EntryArgs: args, Obs: o,
-			TraceLabel: "oracle", NoFastPath: noFast})
+		res, err := vliw.Run(code, plan, vliw.Options{Obs: o, TraceLabel: "oracle",
+			NoFastPath: noFast})
 		return res, o, err
 	}
 	fast, fastObs, err := run(false)
@@ -164,8 +164,8 @@ func checkFastPath(code *sched.Code, plan *vliw.BufferPlan, args []int64) error 
 
 // checkBatch runs every plan in one batch and requires each plan's
 // solo Stats.
-func checkBatch(code *sched.Code, plans []*vliw.BufferPlan, solo []vliw.Stats, args []int64) error {
-	rs, err := vliw.RunBatch(code, plans, vliw.BatchOptions{Options: vliw.Options{EntryArgs: args}})
+func checkBatch(code *sched.Code, plans []*vliw.BufferPlan, solo []vliw.Stats) error {
+	rs, err := vliw.RunBatch(code, plans, vliw.BatchOptions{})
 	if err != nil {
 		return err
 	}
@@ -180,11 +180,10 @@ func checkBatch(code *sched.Code, plans []*vliw.BufferPlan, solo []vliw.Stats, a
 // checkPMU runs the plans' batch with sampling on, on both paths: the
 // Stats must be the unsampled solo ones and the two paths' profiles
 // must be equal.
-func checkPMU(code *sched.Code, plans []*vliw.BufferPlan, solo []vliw.Stats, args []int64) error {
+func checkPMU(code *sched.Code, plans []*vliw.BufferPlan, solo []vliw.Stats) error {
 	run := func(noFast bool) ([]*vliw.Result, error) {
 		return vliw.RunBatch(code, plans, vliw.BatchOptions{Options: vliw.Options{
-			EntryArgs: args, NoFastPath: noFast,
-			PMU: &pmu.Config{Period: samplePeriod, Seed: 1}}})
+			NoFastPath: noFast, PMU: &pmu.Config{Period: samplePeriod, Seed: 1}}})
 	}
 	fast, err := run(false)
 	if err != nil {
@@ -195,7 +194,10 @@ func checkPMU(code *sched.Code, plans []*vliw.BufferPlan, solo []vliw.Stats, arg
 		return fmt.Errorf("interpretive path: %w", err)
 	}
 	for i := range fast {
-		if err := sameStats("sampled", "unsampled", fast[i].Stats, solo[i]); err != nil {
+		if err := sameStats("sampled fast", "unsampled", fast[i].Stats, solo[i]); err != nil {
+			return fmt.Errorf("buf%d: %w", BufferSizes[i], err)
+		}
+		if err := sameStats("sampled interpretive", "unsampled", slow[i].Stats, solo[i]); err != nil {
 			return fmt.Errorf("buf%d: %w", BufferSizes[i], err)
 		}
 		if fp, sp := fast[i].Profile, slow[i].Profile; !fp.Equal(sp) {

@@ -609,11 +609,11 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 
 		// Region fast path: at the head of a replayable region — a
 		// resident loop or a straight-line run — whole trips execute
-		// through the region runner with per-trip batched accounting for
-		// every account, provided each account's plan aligns with the
-		// region. The runner does the per-trip head fetch itself, so all
-		// buffer-state transitions (entry, record→replay, exit) happen
-		// exactly as interpretively.
+		// through the pre-decoded region runner (see region.go) with
+		// per-trip batched accounting for every account, provided each
+		// account's plan aligns with the region. The runner does the
+		// per-trip head fetch itself, so all buffer-state transitions
+		// (entry, record→replay, exit) happen exactly as interpretively.
 		if !s.opts.NoFastPath && len(df.regionHead) > 0 {
 			if ri := df.regionHead[pc]; ri >= 0 && fx.regionUse[ri] {
 				next, err := s.runRegion(f, fx, int(ri), &sc)
@@ -629,9 +629,9 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 		nOps := int64(len(db.ops))
 		// PMU sampling: the clock is compared against the issue cycle
 		// once per bundle (sampling off costs exactly this nil check).
-		// The region runner reconstructs the same firings analytically
-		// per trip (see sampleTrip), so both paths sample identical
-		// cycles.
+		// The region fast path above reconstructs the same firings
+		// analytically per trip (see sampleTrip), so both paths sample
+		// identical cycles.
 		sample := s.pmu != nil && s.now >= s.pmu.Next()
 		// Per-account loop-buffer bookkeeping for this fetch, issue
 		// event, and fetch statistics (per-bundle sums: every op in the
