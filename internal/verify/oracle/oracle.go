@@ -13,9 +13,9 @@
 //   - fast vs interpretive: the region fast path and the interpretive
 //     per-bundle path (vliw.Options.NoFastPath) agree on return value,
 //     memory, Stats with per-loop splits, and the cycle-level event
-//     stream;
-//   - batch vs solo: one vliw.RunBatch over every capacity's plan
-//     reports each plan's solo Stats;
+//     stream; without an event ring both report the ring-on results;
+//   - batch vs solo: one vliw.RunBatch over every capacity's plan and
+//     an empty plan reports each plan's solo Stats;
 //   - PMU: sampling leaves Stats unchanged, and both paths take the
 //     same samples.
 //
@@ -87,8 +87,10 @@ func CheckWith(prog *ir.Program, backend string) error {
 		if err != nil {
 			return fmt.Errorf("%s: compile: %w", cfg.Name, err)
 		}
-		plans := make([]*vliw.BufferPlan, len(BufferSizes))
-		solo := make([]vliw.Stats, len(BufferSizes))
+		// Every batch ends with an empty plan, so accounts that stream a
+		// loop always share it with one that plans nothing.
+		plans := make([]*vliw.BufferPlan, len(BufferSizes)+1)
+		solo := make([]vliw.Stats, len(BufferSizes)+1)
 		for i, sz := range BufferSizes {
 			// core already compares each run against its own reference
 			// execution; compare against ours too so a bug in core's
@@ -110,6 +112,13 @@ func CheckWith(prog *ir.Program, backend string) error {
 				return fmt.Errorf("%s/buf%d: fast vs interpretive: %w", cfg.Name, sz, err)
 			}
 		}
+		empty := len(BufferSizes)
+		plans[empty] = &vliw.BufferPlan{Capacity: 0}
+		res, err := vliw.Run(c.Code, plans[empty], vliw.Options{})
+		if err != nil {
+			return fmt.Errorf("%s/buf0: %w", cfg.Name, err)
+		}
+		solo[empty] = res.Stats
 		if err := checkBatch(c.Code, plans, solo); err != nil {
 			return fmt.Errorf("%s: batch vs solo: %w", cfg.Name, err)
 		}
@@ -122,7 +131,8 @@ func CheckWith(prog *ir.Program, backend string) error {
 
 // checkFastPath runs plan on the region fast path and on the
 // interpretive path, each with the cycle-level event ring on, and
-// requires identical results and event streams.
+// requires identical results and event streams. Both paths also run
+// without a ring, as sweeps do, and must report the ring-on results.
 func checkFastPath(code *sched.Code, plan *vliw.BufferPlan) error {
 	run := func(noFast bool) (*vliw.Result, *obs.Obs, error) {
 		o := obs.New(obs.Config{SimEvents: true, SimRingSize: eventRing})
@@ -138,14 +148,21 @@ func checkFastPath(code *sched.Code, plan *vliw.BufferPlan) error {
 	if err != nil {
 		return fmt.Errorf("interpretive path: %w", err)
 	}
-	if fast.Ret != slow.Ret {
-		return fmt.Errorf("ret %d (fast) != %d (interpretive)", fast.Ret, slow.Ret)
-	}
-	if !bytes.Equal(fast.Mem, slow.Mem) {
-		return fmt.Errorf("final memory differs")
-	}
-	if err := sameStats("fast", "interpretive", fast.Stats, slow.Stats); err != nil {
+	if err := sameResult("fast", "interpretive", fast, slow); err != nil {
 		return err
+	}
+	for _, noFast := range []bool{false, true} {
+		name, want := "ring-free fast", fast
+		if noFast {
+			name, want = "ring-free interpretive", slow
+		}
+		res, err := vliw.Run(code, plan, vliw.Options{NoFastPath: noFast})
+		if err != nil {
+			return fmt.Errorf("%s path: %w", name, err)
+		}
+		if err := sameResult(name, "ring-on", res, want); err != nil {
+			return err
+		}
 	}
 	if ft, st := fastObs.Sim.Total(), slowObs.Sim.Total(); ft != st {
 		return fmt.Errorf("event totals %d (fast) != %d (interpretive)", ft, st)
@@ -171,7 +188,7 @@ func checkBatch(code *sched.Code, plans []*vliw.BufferPlan, solo []vliw.Stats) e
 	}
 	for i, r := range rs {
 		if err := sameStats("batch", "solo", r.Stats, solo[i]); err != nil {
-			return fmt.Errorf("buf%d: %w", BufferSizes[i], err)
+			return fmt.Errorf("buf%d: %w", plans[i].Capacity, err)
 		}
 	}
 	return nil
@@ -195,17 +212,29 @@ func checkPMU(code *sched.Code, plans []*vliw.BufferPlan, solo []vliw.Stats) err
 	}
 	for i := range fast {
 		if err := sameStats("sampled fast", "unsampled", fast[i].Stats, solo[i]); err != nil {
-			return fmt.Errorf("buf%d: %w", BufferSizes[i], err)
+			return fmt.Errorf("buf%d: %w", plans[i].Capacity, err)
 		}
 		if err := sameStats("sampled interpretive", "unsampled", slow[i].Stats, solo[i]); err != nil {
-			return fmt.Errorf("buf%d: %w", BufferSizes[i], err)
+			return fmt.Errorf("buf%d: %w", plans[i].Capacity, err)
 		}
 		if fp, sp := fast[i].Profile, slow[i].Profile; !fp.Equal(sp) {
 			return fmt.Errorf("buf%d: profiles differ: %d samples (fast) vs %d (interpretive)",
-				BufferSizes[i], fp.Total(), sp.Total())
+				plans[i].Capacity, fp.Total(), sp.Total())
 		}
 	}
 	return nil
+}
+
+// sameResult reports the first difference between two runs' return
+// value, final memory and Stats.
+func sameResult(gotName, wantName string, got, want *vliw.Result) error {
+	if got.Ret != want.Ret {
+		return fmt.Errorf("ret %d (%s) != %d (%s)", got.Ret, gotName, want.Ret, wantName)
+	}
+	if !bytes.Equal(got.Mem, want.Mem) {
+		return fmt.Errorf("final memory differs (%s vs %s)", gotName, wantName)
+	}
+	return sameStats(gotName, wantName, got.Stats, want.Stats)
 }
 
 // sameStats reports the first difference between two runs' Stats: a
