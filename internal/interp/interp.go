@@ -3,6 +3,12 @@
 // it fully understands guards and predicate defines), produces the
 // reference outputs the cycle-level simulator is validated against, and
 // optionally gathers execution profiles for the profile-guided passes.
+//
+// Each Run decodes the program once into a dense image (see decode.go)
+// and executes that: blocks by index, branch targets and callees
+// resolved, operands as register indices or immediates routed by the
+// shared ir.Decode, and every profile event counted in a dense slot
+// that is folded into the profile maps at the end of the run.
 package interp
 
 import (
@@ -38,7 +44,6 @@ type Result struct {
 type state struct {
 	prog  *ir.Program
 	mem   []byte
-	prof  *profile.Profile
 	ops   int64
 	maxOp int64
 	depth int
@@ -54,116 +59,16 @@ type state struct {
 	// The callee copies them into its registers before executing any
 	// op, so one buffer serves all nesting depths.
 	argbuf []int64
-	// counters holds the dense per-function profile scratch (nil when
-	// not profiling).
-	counters map[*ir.Func]*funcCounters
+	// funcs holds the run's decoded functions by name (nil for a name
+	// the program does not define); order lists them as first
+	// referenced.
+	funcs map[string]*fn
+	order []*fn
 }
 
 type frameScratch struct {
 	regs  []int64
 	preds []bool
-}
-
-// funcCounters is the dense profile scratch for one function. Block
-// and op IDs are small sequential integers, so counting events in
-// ID-indexed slices (and folding into the FuncProfile maps once at the
-// end of the run) replaces a map assignment per executed block, branch
-// and call — the hottest part of profile collection, which the
-// profile-guided passes pay on every benchmark's full input.
-type funcCounters struct {
-	fp     *profile.FuncProfile
-	calls  int64
-	ops    int64
-	block  []int64
-	bexec  []int64
-	btaken []int64
-	csite  []int64
-	edge   [][]edgeCount
-}
-
-// edgeCount is one outgoing-edge counter; each block has only a
-// handful of distinct successors, so a linear scan beats hashing.
-type edgeCount struct {
-	to ir.BlockID
-	n  int64
-}
-
-func (c *funcCounters) addEdge(from, to ir.BlockID) {
-	l := c.edge[from]
-	for i := range l {
-		if l[i].to == to {
-			l[i].n++
-			return
-		}
-	}
-	c.edge[from] = append(l, edgeCount{to: to, n: 1})
-}
-
-// countersFor returns (creating on first visit) f's dense counters.
-// Sizes come from scanning the function so manually numbered IDs are
-// covered too.
-func (st *state) countersFor(f *ir.Func) *funcCounters {
-	if c := st.counters[f]; c != nil {
-		return c
-	}
-	var maxB ir.BlockID
-	maxOp := 0
-	for _, b := range f.Blocks {
-		if b.ID > maxB {
-			maxB = b.ID
-		}
-		for _, op := range b.Ops {
-			if op.ID > maxOp {
-				maxOp = op.ID
-			}
-		}
-	}
-	c := &funcCounters{
-		fp:     st.prof.ForFunc(f.Name),
-		block:  make([]int64, maxB+1),
-		bexec:  make([]int64, maxOp+1),
-		btaken: make([]int64, maxOp+1),
-		csite:  make([]int64, maxOp+1),
-		edge:   make([][]edgeCount, maxB+1),
-	}
-	st.counters[f] = c
-	return c
-}
-
-// foldCounters folds the run's dense counts into the profile maps,
-// touching only IDs that actually executed — the resulting maps are
-// identical to incrementing them per event.
-func (st *state) foldCounters() {
-	for _, c := range st.counters {
-		fp := c.fp
-		fp.Calls += c.calls
-		fp.Ops += c.ops
-		for id, n := range c.block {
-			if n != 0 {
-				fp.Block[ir.BlockID(id)] += n
-			}
-		}
-		for id, n := range c.bexec {
-			if n != 0 {
-				fp.BranchExec[id] += n
-			}
-		}
-		for id, n := range c.btaken {
-			if n != 0 {
-				fp.BranchTaken[id] += n
-			}
-		}
-		for id, n := range c.csite {
-			if n != 0 {
-				fp.CallSite[id] += n
-			}
-		}
-		for from, l := range c.edge {
-			for _, ec := range l {
-				fp.Edge[profile.Edge{From: ir.BlockID(from), To: ec.to}] += ec.n
-			}
-		}
-	}
 }
 
 // frame returns zeroed register files for one activation at depth d,
@@ -190,16 +95,15 @@ func (st *state) frame(d int, nRegs, nPreds int) ([]int64, []bool) {
 
 // Run executes the program from its entry function.
 func Run(prog *ir.Program, opts Options) (*Result, error) {
-	entry := prog.Funcs[prog.Entry]
-	if entry == nil {
+	if prog.Funcs[prog.Entry] == nil {
 		return nil, fmt.Errorf("interp: no entry function %q", prog.Entry)
 	}
 	st := &state{
 		prog:  prog,
 		mem:   make([]byte, prog.MemSize),
-		prof:  opts.Profile,
 		maxOp: opts.MaxOps,
 		maxD:  opts.MaxDepth,
+		funcs: map[string]*fn{},
 	}
 	if st.maxOp == 0 {
 		st.maxOp = 4e9
@@ -207,24 +111,21 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	if st.maxD == 0 {
 		st.maxD = 256
 	}
-	if st.prof != nil {
-		st.counters = map[*ir.Func]*funcCounters{}
-	}
 	for _, g := range prog.Globals {
 		copy(st.mem[g.Offset:g.Offset+g.Size], g.Init)
 	}
-	ret, err := st.call(entry, opts.EntryArgs)
+	ret, err := st.call(st.funcFor(prog.Entry), opts.EntryArgs)
 	if err != nil {
 		return nil, err
 	}
-	if st.prof != nil {
-		st.foldCounters()
-		st.prof.TotalOps = st.ops
+	if opts.Profile != nil {
+		st.fold(opts.Profile)
 	}
 	return &Result{Mem: st.mem, Ret: ret, Ops: st.ops}, nil
 }
 
-func (st *state) call(f *ir.Func, args []int64) (int64, error) {
+func (st *state) call(fn *fn, args []int64) (int64, error) {
+	f := fn.f
 	if st.depth >= st.maxD {
 		return 0, fmt.Errorf("interp: call depth limit in %s", f.Name)
 	}
@@ -234,211 +135,339 @@ func (st *state) call(f *ir.Func, args []int64) (int64, error) {
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("interp: %s expects %d args, got %d", f.Name, len(f.Params), len(args))
 	}
-	regs, preds := st.frame(st.depth, int(f.NumRegs())+1, int(f.NumPreds())+1)
+	if fn.blocks == nil {
+		st.decode(fn)
+	}
+	regs, preds := st.frame(st.depth, fn.nRegs, fn.nPreds)
 	preds[0] = true
 	for i, p := range f.Params {
 		regs[p] = ir.W32(args[i])
 	}
+	fn.calls++
+	ctr := fn.ctr
+	mem := st.mem
 
-	var fc *funcCounters
-	if st.prof != nil {
-		fc = st.countersFor(f)
-		fc.calls++
-	}
-
-	cur := f.Entry
+	cur := fn.entry
 	for {
-		b := f.Block(cur)
-		if b == nil {
-			return 0, fmt.Errorf("interp: %s: missing block B%d", f.Name, cur)
+		b := &fn.blocks[cur]
+		if b.missing {
+			return 0, fmt.Errorf("interp: %s: missing block B%d", f.Name, b.id)
 		}
-		if fc != nil {
-			fc.block[b.ID]++
+		ctr[cur]++
+		ops := b.ops
+		// The block's ops are counted on entry, as many as the op limit
+		// leaves; an early exit or a call gives back the ones not yet
+		// run. Reaching stop short of the block end is the limit.
+		n := len(ops)
+		stop := n
+		if left := st.maxOp - st.ops; int64(n) > left {
+			stop = int(left)
 		}
-		next, ret, returned, err := st.execBlock(f, fc, b, regs, preds)
-		if err != nil {
-			return 0, err
+		st.ops += int64(stop)
+		fn.ops += int64(stop)
+		next, edge := b.fall, b.fallEdge
+		for i := 0; ; i++ {
+			var why exit
+			i, why = runOps(ops, i, stop, regs, preds, mem, ctr)
+			if why == exitEnd {
+				if stop < n {
+					return 0, fmt.Errorf("interp: op limit exceeded in %s", f.Name)
+				}
+				break
+			}
+			d, ref := &ops[i], &b.refs[i]
+			switch why {
+			case exitTaken:
+				unrun := int64(stop - i - 1)
+				st.ops -= unrun
+				fn.ops -= unrun
+				next, edge = fn.succ[d.edge], d.edge
+			case exitRet:
+				unrun := int64(stop - i - 1)
+				st.ops -= unrun
+				fn.ops -= unrun
+				return regs[d.A], nil
+			case exitCall:
+				if ref.callee == nil {
+					return 0, fmt.Errorf("interp: call to undefined %q", ref.op.Callee)
+				}
+				src := ref.op.Src
+				if cap(st.argbuf) < len(src) {
+					st.argbuf = make([]int64, len(src))
+				}
+				args := st.argbuf[:len(src)]
+				for k, r := range src {
+					args[k] = regs[r]
+				}
+				ctr[d.ctr]++
+				// The callee's ops count from here: give back this
+				// block's unrun ones and count them again after.
+				unrun := int64(stop - i - 1)
+				st.ops -= unrun
+				fn.ops -= unrun
+				rv, err := st.call(ref.callee, args)
+				if err != nil {
+					return 0, err
+				}
+				if len(ref.op.Dest) > 0 {
+					regs[d.Dest] = rv
+				}
+				stop = n
+				if left := st.maxOp - st.ops; int64(n-i-1) > left {
+					stop = i + 1 + int(left)
+				}
+				st.ops += int64(stop - i - 1)
+				fn.ops += int64(stop - i - 1)
+				continue
+			case exitLoadFault:
+				// Speculative loads squash the fault and read 0.
+				_, err := ir.Load(mem, d.Opc, regs[d.A]+d.Imm)
+				if !d.Spec {
+					return 0, fmt.Errorf("%s in %s B%d: %v", ref.op, f.Name, b.id, err)
+				}
+				regs[d.Dest] = 0
+				continue
+			case exitStoreFault:
+				err := ir.CheckAccess(mem, d.Opc, regs[d.A]+d.Imm)
+				return 0, fmt.Errorf("%s in %s B%d: %v", ref.op, f.Name, b.id, err)
+			default:
+				return 0, fmt.Errorf("interp: unhandled op %s in %s", ref.op, f.Name)
+			}
+			break
 		}
-		if returned {
-			return ret, nil
+		if next < 0 {
+			return 0, fmt.Errorf("interp: %s: B%d fell off the end", f.Name, b.id)
 		}
-		if next == 0 {
-			return 0, fmt.Errorf("interp: %s: B%d fell off the end", f.Name, b.ID)
-		}
-		if fc != nil {
-			fc.addEdge(b.ID, next)
-		}
+		ctr[edge]++
 		cur = next
 	}
 }
 
-// execBlock runs the ops of b. It returns the next block (0 if none),
-// or a return value when the function returned.
-func (st *state) execBlock(f *ir.Func, fc *funcCounters, b *ir.Block,
-	regs []int64, preds []bool) (next ir.BlockID, ret int64, returned bool, err error) {
+// exit says why runOps stopped.
+type exit uint8
 
-	src := func(op *ir.Op, i int) int64 {
-		// The immediate, when present, stands in the last source slot.
-		if op.HasImm && i == len(op.Src) {
-			return op.Imm
-		}
-		return regs[op.Src[i]]
-	}
+const (
+	// exitEnd: it ran every op up to stop.
+	exitEnd exit = iota
+	// exitTaken: the op at the returned index transferred control.
+	exitTaken
+	// exitCall and exitRet: the op is a call or a return whose guard
+	// holds.
+	exitCall
+	exitRet
+	// exitLoadFault and exitStoreFault: the op accessed memory out of
+	// range. exitInvalid: no kind the interpreter knows.
+	exitLoadFault
+	exitStoreFault
+	exitInvalid
+)
 
-	for _, op := range b.Ops {
-		st.ops++
-		if fc != nil {
-			fc.ops++
-		}
-		if st.ops > st.maxOp {
-			return 0, 0, false, fmt.Errorf("interp: op limit exceeded in %s", f.Name)
-		}
-		guard := preds[op.Guard]
-		switch {
-		case op.Opcode == ir.OpNop:
+// runOps executes ops[i:stop] until one leaves the straight-line run:
+// a taken transfer, a call, a return, a fault or an unknown op. It
+// returns that op's index and why, or stop and exitEnd. Branch counts
+// go to ctr. Calls and errors are the caller's, which keeps this loop
+// free of them.
+func runOps(ops []op, i, stop int, regs []int64, preds []bool, mem []byte, ctr []int64) (int, exit) {
+	for ; i < stop; i++ {
+		d := &ops[i]
+		switch d.Kind {
+		case ir.KindNop, ir.KindRecLoop:
 
-		case op.Opcode == ir.OpCmpP:
-			cond := op.Cmp.Eval(src(op, 0), src(op, 1))
-			// Iterate PDest directly with PredDefines' filter: the
-			// accessor allocates a fresh slice per call, which this
-			// loop is far too hot for.
-			for _, pd := range op.PDest {
-				if pd.Type == ir.PTNone || pd.Pred == 0 {
-					continue
+		case ir.KindMovR:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A])
+			}
+		case ir.KindMovI:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(d.Imm)
+			}
+		case ir.KindAddRR:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] + regs[d.B])
+			}
+		case ir.KindAddRI:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] + d.Imm)
+			}
+		case ir.KindSubRR:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] - regs[d.B])
+			}
+		case ir.KindSubRI:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] - d.Imm)
+			}
+		case ir.KindMulRR:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] * regs[d.B])
+			}
+		case ir.KindMulRI:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] * d.Imm)
+			}
+		case ir.KindAndRR:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] & regs[d.B])
+			}
+		case ir.KindAndRI:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] & d.Imm)
+			}
+		case ir.KindShlRR:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] << (uint64(regs[d.B]) & 31))
+			}
+		case ir.KindShlRI:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] << (uint64(d.Imm) & 31))
+			}
+		case ir.KindShrRR:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] >> (uint64(regs[d.B]) & 31))
+			}
+		case ir.KindShrRI:
+			if preds[d.Guard] {
+				regs[d.Dest] = ir.W32(regs[d.A] >> (uint64(d.Imm) & 31))
+			}
+		case ir.KindALU:
+			if preds[d.Guard] {
+				a := regs[d.A]
+				if d.AImm {
+					a = d.Imm
 				}
-				v, w := pd.Type.Update(guard, cond)
-				if w {
+				var b int64
+				if !d.Unary {
+					b = regs[d.B]
+					if d.BImm {
+						b = d.Imm
+					}
+				}
+				regs[d.Dest] = ir.EvalALU(d.Opc, d.Cmp, a, b)
+			}
+
+		case ir.KindCmpP:
+			a, b := regs[d.A], regs[d.B]
+			if d.AImm {
+				a = d.Imm
+			}
+			if d.BImm {
+				b = d.Imm
+			}
+			guard, cond := preds[d.Guard], d.Cmp.Eval(a, b)
+			for k := uint8(0); k < d.NPD; k++ {
+				pd := d.PD[k]
+				if v, w := pd.Type.Update(guard, cond); w {
 					preds[pd.Pred] = v
 				}
 			}
 
-		case op.Opcode == ir.OpSel:
-			if guard {
-				if regs[op.Src[0]] != 0 {
-					regs[op.Dest[0]] = regs[op.Src[1]]
+		case ir.KindSel:
+			if preds[d.Guard] {
+				if regs[d.A] != 0 {
+					regs[d.Dest] = regs[d.B]
 				} else {
-					regs[op.Dest[0]] = regs[op.Src[2]]
+					regs[d.Dest] = regs[d.C]
 				}
 			}
 
-		case ir.IsALUEvaluable(op.Opcode):
-			if guard {
-				var a, bb int64
-				if op.Opcode == ir.OpMov {
-					a = src(op, 0)
-				} else if op.Opcode == ir.OpAbs {
-					a = src(op, 0)
-				} else {
-					a, bb = src(op, 0), src(op, 1)
+		case ir.KindLdW:
+			if preds[d.Guard] {
+				v, ok := ir.LoadW(mem, regs[d.A]+d.Imm)
+				if !ok {
+					return i, exitLoadFault
 				}
-				regs[op.Dest[0]] = ir.EvalALU(op.Opcode, op.Cmp, a, bb)
+				regs[d.Dest] = v
+			}
+		case ir.KindLdH:
+			if preds[d.Guard] {
+				v, ok := ir.LoadH(mem, regs[d.A]+d.Imm)
+				if !ok {
+					return i, exitLoadFault
+				}
+				regs[d.Dest] = v
+			}
+		case ir.KindLdHU:
+			if preds[d.Guard] {
+				v, ok := ir.LoadHU(mem, regs[d.A]+d.Imm)
+				if !ok {
+					return i, exitLoadFault
+				}
+				regs[d.Dest] = v
+			}
+		case ir.KindLdB:
+			if preds[d.Guard] {
+				v, ok := ir.LoadB(mem, regs[d.A]+d.Imm)
+				if !ok {
+					return i, exitLoadFault
+				}
+				regs[d.Dest] = v
+			}
+		case ir.KindLdBU:
+			if preds[d.Guard] {
+				v, ok := ir.LoadBU(mem, regs[d.A]+d.Imm)
+				if !ok {
+					return i, exitLoadFault
+				}
+				regs[d.Dest] = v
 			}
 
-		case op.IsLoad():
-			if guard {
-				v, lerr := ir.Load(st.mem, op.Opcode, regs[op.Src[0]]+op.Imm)
-				if lerr != nil {
-					if op.Speculative {
-						v = 0 // speculative loads squash faults
-					} else {
-						return 0, 0, false, fmt.Errorf("%s in %s B%d: %v", op, f.Name, b.ID, lerr)
-					}
-				}
-				regs[op.Dest[0]] = v
-			}
-
-		case op.IsStore():
-			if guard {
-				if serr := ir.Store(st.mem, op.Opcode, regs[op.Src[0]]+op.Imm, regs[op.Src[1]]); serr != nil {
-					return 0, 0, false, fmt.Errorf("%s in %s B%d: %v", op, f.Name, b.ID, serr)
+		case ir.KindStore:
+			if preds[d.Guard] {
+				if ir.Store(mem, d.Opc, regs[d.A]+d.Imm, regs[d.B]) != nil {
+					return i, exitStoreFault
 				}
 			}
 
-		case op.Opcode == ir.OpBr:
-			taken := false
-			if guard {
-				taken = op.Cmp.Eval(src(op, 0), src(op, 1))
-				if fc != nil {
-					fc.bexec[op.ID]++
-					if taken {
-						fc.btaken[op.ID]++
-					}
+		case ir.KindBr:
+			if preds[d.Guard] {
+				a, b := regs[d.A], regs[d.B]
+				if d.AImm {
+					a = d.Imm
+				}
+				if d.BImm {
+					b = d.Imm
+				}
+				ctr[d.ctr]++
+				if d.Cmp.Eval(a, b) {
+					ctr[d.ctr+1]++
+					return i, exitTaken
 				}
 			}
-			if taken {
-				return op.Target, 0, false, nil
+		case ir.KindJump:
+			if preds[d.Guard] {
+				ctr[d.ctr]++
+				ctr[d.ctr+1]++
+				return i, exitTaken
 			}
-
-		case op.Opcode == ir.OpJump:
-			if guard {
-				if fc != nil {
-					fc.bexec[op.ID]++
-					fc.btaken[op.ID]++
-				}
-				return op.Target, 0, false, nil
-			}
-
-		case op.Opcode == ir.OpBrCLoop:
-			if guard {
-				c := ir.W32(regs[op.Src[0]] - 1)
-				regs[op.Dest[0]] = c
-				if fc != nil {
-					fc.bexec[op.ID]++
-				}
+		case ir.KindBrCLoop:
+			if preds[d.Guard] {
+				c := ir.W32(regs[d.A] - 1)
+				regs[d.Dest] = c
+				ctr[d.ctr]++
 				if c > 0 {
-					if fc != nil {
-						fc.btaken[op.ID]++
-					}
-					return op.Target, 0, false, nil
+					ctr[d.ctr+1]++
+					return i, exitTaken
 				}
 			}
-
-		case op.Opcode == ir.OpCall:
-			if guard {
-				callee := st.prog.Funcs[op.Callee]
-				if callee == nil {
-					return 0, 0, false, fmt.Errorf("interp: call to undefined %q", op.Callee)
-				}
-				if cap(st.argbuf) < len(op.Src) {
-					st.argbuf = make([]int64, len(op.Src))
-				}
-				args := st.argbuf[:len(op.Src)]
-				for i, r := range op.Src {
-					args[i] = regs[r]
-				}
-				if fc != nil {
-					fc.csite[op.ID]++
-				}
-				rv, cerr := st.call(callee, args)
-				if cerr != nil {
-					return 0, 0, false, cerr
-				}
-				if len(op.Dest) > 0 {
-					regs[op.Dest[0]] = rv
-				}
+		case ir.KindExecLoop:
+			// exec_[cw]loop transfers to the buffered loop, which in IR
+			// form is just its Target block.
+			if preds[d.Guard] {
+				return i, exitTaken
 			}
 
-		case op.Opcode == ir.OpRet:
-			if guard {
-				var rv int64
-				if len(op.Src) > 0 {
-					rv = regs[op.Src[0]]
-				}
-				return 0, rv, true, nil
+		case ir.KindCall:
+			if preds[d.Guard] {
+				return i, exitCall
 			}
-
-		case op.IsBufferOp():
-			// Buffer management ops are fetch-engine directives; they
-			// are semantic no-ops to the interpreter except that
-			// exec_[cw]loop transfers control to the buffered loop,
-			// which in IR form is just its Target block.
-			if guard && (op.Opcode == ir.OpExecCLoop || op.Opcode == ir.OpExecWLoop) {
-				return op.Target, 0, false, nil
+		case ir.KindRet:
+			if preds[d.Guard] {
+				return i, exitRet
 			}
 
 		default:
-			return 0, 0, false, fmt.Errorf("interp: unhandled op %s in %s", op, f.Name)
+			return i, exitInvalid
 		}
 	}
-	return b.Fall, 0, false, nil
+	return stop, exitEnd
 }

@@ -67,6 +67,45 @@ func Load(mem []byte, opc Opcode, addr int64) (int64, error) {
 	return int64(int32(binary.LittleEndian.Uint32(mem[addr:]))), nil
 }
 
+// LoadB, LoadBU, LoadH, LoadHU and LoadW are Load for one width, small
+// enough to inline into an executor's op switch (the width load kinds
+// of Decode). ok is false when the access does not lie wholly inside
+// mem; Load then gives the error.
+func LoadB(mem []byte, addr int64) (v int64, ok bool) {
+	if addr < 0 || addr >= int64(len(mem)) {
+		return 0, false
+	}
+	return int64(int8(mem[addr])), true
+}
+
+func LoadBU(mem []byte, addr int64) (v int64, ok bool) {
+	if addr < 0 || addr >= int64(len(mem)) {
+		return 0, false
+	}
+	return int64(mem[addr]), true
+}
+
+func LoadH(mem []byte, addr int64) (v int64, ok bool) {
+	if addr < 0 || addr > int64(len(mem))-2 {
+		return 0, false
+	}
+	return int64(int16(binary.LittleEndian.Uint16(mem[addr:]))), true
+}
+
+func LoadHU(mem []byte, addr int64) (v int64, ok bool) {
+	if addr < 0 || addr > int64(len(mem))-2 {
+		return 0, false
+	}
+	return int64(binary.LittleEndian.Uint16(mem[addr:])), true
+}
+
+func LoadW(mem []byte, addr int64) (v int64, ok bool) {
+	if addr < 0 || addr > int64(len(mem))-4 {
+		return 0, false
+	}
+	return int64(int32(binary.LittleEndian.Uint32(mem[addr:]))), true
+}
+
 // Store writes v to mem at addr as the store opcode opc does.
 func Store(mem []byte, opc Opcode, addr, v int64) error {
 	if !inBounds(mem, opc, addr) {

@@ -20,10 +20,16 @@ import (
 // same code share one architectural execution bit for bit.
 //
 // RunBatch therefore executes the program once with one account per
-// plan: per-bundle fetch bookkeeping, penalties, statistics and events
-// fold through every account as each bundle issues. A Figure 7 buffer
-// sweep — the same benchmark at 8 buffer sizes — becomes one simulation
-// instead of eight.
+// plan. What every plan counts alike — the ops bundles issue and
+// nullify, and the redirects every account pays — is kept once per
+// batch and added to each account at the end. The per-account work —
+// buffer state, the buffer/memory split, plan-dependent penalties and
+// events — runs only where plans can differ: on bundles some plan
+// covers, while a residency is open, or when events are on. A loop
+// trip every account handles alike is counted, not accounted (see
+// runRegion). A Figure 7 buffer sweep — the same benchmark at 8 buffer
+// sizes — becomes one simulation instead of eight, and costs about as
+// much as one.
 
 // BatchOptions configure a batched run.
 type BatchOptions struct {
@@ -68,6 +74,7 @@ func RunBatch(code *sched.Code, plans []*BufferPlan, opts BatchOptions) ([]*Resu
 	if opts.FoldedStatsOnly {
 		ring = nil
 	}
+	s.rings = ring != nil
 	if opts.PMU != nil {
 		// One clock per batch: samples are plan-independent, so every
 		// account profiles the same cycles of the shared execution.
@@ -121,6 +128,10 @@ func RunBatch(code *sched.Code, plans []*BufferPlan, opts BatchOptions) ([]*Resu
 	results := make([]*Result, len(s.accts))
 	for i, a := range s.accts {
 		a.buf.flushResidency(s, a)
+		a.stats.OpsIssued += s.shared.issued
+		a.stats.OpsNullified += s.shared.nullified
+		a.stats.BranchPenaltyCycles += s.shared.penalty
+		a.penalty += s.shared.penalty
 		a.stats.Cycles = s.now + a.penalty
 		if reg != nil {
 			foldStats(reg, &a.stats)

@@ -137,6 +137,7 @@ func (bs *bufferState) fetch(pl *PlannedLoop, fc *sched.FuncCode, pc int, s *sim
 			a.stats.RecFetches++
 			a.stats.OpsIssued++
 			bs.cur = pl
+			s.open++
 			bs.curLS = ls
 			bs.enteredAt = s.now
 			i := bs.indexOf(pl)
@@ -227,6 +228,9 @@ func (bs *bufferState) leave(s *sim, a *account, fn string, pc int) {
 		a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimLoopExit,
 			Run: a.label, Func: fn, PC: int32(pc), Loop: bs.cur.Key(),
 			Arg: bs.enteredAt, Aux: aux})
+	}
+	if bs.cur != nil {
+		s.open--
 	}
 	bs.cur = nil
 	bs.curLS = nil

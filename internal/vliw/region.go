@@ -3,6 +3,7 @@ package vliw
 import (
 	"fmt"
 
+	"lpbuf/internal/ir"
 	"lpbuf/internal/obs"
 	"lpbuf/internal/sched"
 )
@@ -27,7 +28,9 @@ import (
 //     per trip (obs.SimTrace.EmitBatch);
 //   - the loop-buffer state machine runs once per trip, at the head
 //     fetch, instead of once per bundle: inside a trip it is a no-op by
-//     construction (the fetch state can only change at the head).
+//     construction (the fetch state can only change at the head);
+//   - once every account is steady in a loop, its trips are counted and
+//     folded into the accounts when the loop stops looping back.
 //
 // Anything the fast path cannot reproduce bit-exactly — calls, returns,
 // undecodable ops, non-linear fallthrough, plans that straddle region
@@ -66,12 +69,16 @@ type funcCtx struct {
 	// tabs[ai] is account ai's per-bundle planned-loop table for this
 	// function (nil when its plan has no loops here).
 	tabs [][]*PlannedLoop
+	// covered[pc] reports whether some account's plan covers bundle pc
+	// (short when no plan reaches the function's later bundles).
+	covered []bool
 	// regionUse[ri] reports whether df.regions[ri] is usable by every
 	// account; regionPls[ri][ai] is then account ai's planned loop
 	// spanning the region (nil for an unplanned account or a straight
-	// region).
-	regionUse []bool
-	regionPls [][]*PlannedLoop
+	// region), and regionPlanned[ri] whether any account plans it.
+	regionUse     []bool
+	regionPls     [][]*PlannedLoop
+	regionPlanned []bool
 }
 
 // funcCtxOf returns (building and caching on first use) the function's
@@ -83,15 +90,25 @@ func (s *sim) funcCtxOf(fc *sched.FuncCode) *funcCtx {
 	df := decodedOf(s.code, fc)
 	fx := &funcCtx{df: df, tabs: make([][]*PlannedLoop, len(s.accts))}
 	for ai, a := range s.accts {
-		fx.tabs[ai] = a.buf.loopsFor(fc.F.Name)
+		tab := a.buf.loopsFor(fc.F.Name)
+		fx.tabs[ai] = tab
+		for len(fx.covered) < len(tab) {
+			fx.covered = append(fx.covered, false)
+		}
+		for pc, pl := range tab {
+			if pl != nil {
+				fx.covered[pc] = true
+			}
+		}
 	}
 	if !s.opts.NoFastPath && len(df.regions) > 0 {
 		fx.regionUse = make([]bool, len(df.regions))
 		fx.regionPls = make([][]*PlannedLoop, len(df.regions))
+		fx.regionPlanned = make([]bool, len(df.regions))
 		for ri := range df.regions {
 			r := &df.regions[ri]
 			pls := make([]*PlannedLoop, len(s.accts))
-			use := true
+			use, planned := true, false
 			for ai := range s.accts {
 				pl, ok := alignedPlan(fx.tabs[ai], r)
 				if !ok {
@@ -99,10 +116,12 @@ func (s *sim) funcCtxOf(fc *sched.FuncCode) *funcCtx {
 					break
 				}
 				pls[ai] = pl
+				planned = planned || pl != nil
 			}
 			fx.regionUse[ri] = use
 			if use {
 				fx.regionPls[ri] = pls
+				fx.regionPlanned[ri] = planned
 			}
 		}
 	}
@@ -238,10 +257,10 @@ func regionQualifies(df *decodedFunc, start, end int) bool {
 func bundleQualifies(db *dbundle) bool {
 	branches := 0
 	for i := range db.ops {
-		switch db.ops[i].kind {
-		case dCall, dRet, dInvalid:
+		switch db.ops[i].Kind {
+		case ir.KindCall, ir.KindRet, ir.KindInvalid:
 			return false
-		case dBr, dJump, dBrCLoop:
+		case ir.KindBr, ir.KindJump, ir.KindBrCLoop:
 			branches++
 		}
 	}
@@ -259,12 +278,13 @@ func newRegion(df *decodedFunc, start, end int, loop bool) region {
 }
 
 // accountTrip folds one (possibly partial) trip's pre-summed fetch
-// statistics into every account, routed by that account's head-fetch
-// verdict for this trip.
+// statistics: the issued and nullified ops into the shared counts, and
+// the buffer split into every account, routed by that account's
+// head-fetch verdict for this trip.
 func (s *sim) accountTrip(issued, nullified int64) {
+	s.shared.issued += issued
+	s.shared.nullified += nullified
 	for ai, a := range s.accts {
-		a.stats.OpsIssued += issued
-		a.stats.OpsNullified += nullified
 		if s.fromBuf[ai] {
 			a.stats.OpsFromBuffer += issued
 			if ls := s.lss[ai]; ls != nil {
@@ -273,6 +293,47 @@ func (s *sim) accountTrip(issued, nullified int64) {
 		} else if ls := s.lss[ai]; ls != nil {
 			ls.OpsMemory += issued
 		}
+	}
+}
+
+// steady reports whether every account is steady in the loop region
+// whose planned loops are pls: it either streams its loop from the
+// buffer while replaying, or neither plans the region nor has a
+// residency open. A trip that ends in the predicted loop-back then
+// changes no buffer state.
+func (s *sim) steady(pls []*PlannedLoop) bool {
+	for ai, a := range s.accts {
+		if pl := pls[ai]; pl != nil {
+			if a.buf.cur != pl || !a.buf.replaying {
+				return false
+			}
+		} else if a.buf.cur != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// foldTrips accounts n counted steady trips of tripOps ops each: a
+// streaming account gets n buffered iterations of its loop, an
+// unplanned one n loop-back redirects. The shared counts took the
+// trips' ops as they ran.
+func (s *sim) foldTrips(pls []*PlannedLoop, n, tripOps int64) {
+	if n == 0 {
+		return
+	}
+	bp := n * int64(s.code.Mach.BranchPenalty)
+	for ai, a := range s.accts {
+		if pls[ai] == nil {
+			a.penalty += bp
+			a.stats.BranchPenaltyCycles += bp
+			continue
+		}
+		ls := a.buf.curLS
+		ls.Iterations += n
+		ls.BufferedIterations += n
+		ls.OpsBuffered += n * tripOps
+		a.stats.OpsFromBuffer += n * tripOps
 	}
 }
 
@@ -353,6 +414,17 @@ func (s *sim) flushRegion(fc *sched.FuncCode, df *decodedFunc, r *region, iterBa
 // what lets per-bundle accounting collapse to per-trip sums. The trip's
 // bundles issue through issueRun in one call, which returns at the
 // first branch or at the region end.
+//
+// Two shortcuts leave the accounting unchanged. The head fetch runs
+// only when some account plans the region, a residency is open or
+// events are on: otherwise it is a no-op for every account. And once
+// every account is steady in a loop region (see steady), a whole trip
+// that ends in the predicted loop-back with no PMU sample due changes
+// no buffer state, so it is counted instead of accounted. The first
+// trip that is not such a trip — a side exit, the loop exit, a fault,
+// the cycle limit or a sample — folds the counted trips in and then
+// takes the path above, its head fetch deferred past its issue (a
+// steady account's head fetch only counts).
 func (s *sim) runRegion(f *frame, fx *funcCtx, ri int, sc *scratch) (int, error) {
 	df := fx.df
 	r := &df.regions[ri]
@@ -367,27 +439,48 @@ func (s *sim) runRegion(f *frame, fx *funcCtx, ri int, sc *scratch) (int, error)
 		}
 	}
 	start := int(r.start)
+	tripOps := r.opsUpTo[len(r.opsUpTo)-1]
+	planned := fx.regionPlanned[ri]
+	// counted holds the steady trips not yet folded in.
+	var counted int64
+	steady := false
 	for {
 		// As on the interpretive path, a run past the cycle limit stops
 		// before the fetch, so the head fetch's buffer events stay out.
 		if s.now > s.opts.MaxCycles {
+			s.foldTrips(pls, counted, tripOps)
 			return 0, cycleLimit(fc, start)
 		}
 		iterBase := s.now
-		for ai, a := range s.accts {
-			if pls[ai] != nil || a.buf.cur != nil {
-				s.fromBuf[ai], s.lss[ai] = a.buf.fetch(pls[ai], fc, start, s, a)
-			} else {
-				s.fromBuf[ai], s.lss[ai] = false, nil
-			}
+		if r.loop && !steady && !s.rings {
+			steady = s.steady(pls)
+		}
+		if !steady {
+			s.headFetch(fc, pls, start, planned)
 		}
 		end, nullified, err := s.issueRun(f, df, start, int(r.end), sc)
+		count := end - start
+		if steady {
+			if err == nil && end == int(r.end) && len(sc.branches) == 1 {
+				ba := sc.branches[0]
+				if ba.taken && ba.d.loopBack && int(ba.d.target) == start &&
+					(s.pmu == nil || s.pmu.Next() >= iterBase+int64(count)) {
+					counted++
+					s.shared.issued += tripOps
+					s.shared.nullified += nullified
+					s.tick(f)
+					continue
+				}
+			}
+			s.foldTrips(pls, counted, tripOps)
+			counted, steady = 0, false
+			s.headFetch(fc, pls, start, planned)
+		}
 		// The trip fetched bundles [start, end): account them, take
 		// their samples and flush their events before any exit-path
 		// event, so every ring's order matches the interpretive path.
 		// A predicted loop-back (streaming account) resolves to zero
 		// penalty and no event inside resolveControl.
-		count := end - start
 		if err != nil {
 			s.flushRegion(fc, df, r, iterBase, count)
 			return 0, err
@@ -412,5 +505,25 @@ func (s *sim) runRegion(f *frame, fx *funcCtx, ri int, sc *scratch) (int, error)
 		}
 		// Loop-back to the region head: next trip (its head fetch does
 		// the per-iteration bookkeeping).
+	}
+}
+
+// headFetch runs every account's fetch of the region head and keeps
+// each verdict for the trip's accounting. When some account plans the
+// region or has a residency open, accounts fetch as on the
+// interpretive path; otherwise the fetch is a no-op for every account,
+// so only the verdicts are cleared.
+func (s *sim) headFetch(fc *sched.FuncCode, pls []*PlannedLoop, start int, planned bool) {
+	if !planned && s.open == 0 {
+		clear(s.fromBuf)
+		clear(s.lss)
+		return
+	}
+	for ai, a := range s.accts {
+		if pls[ai] != nil || a.buf.cur != nil {
+			s.fromBuf[ai], s.lss[ai] = a.buf.fetch(pls[ai], fc, start, s, a)
+		} else {
+			s.fromBuf[ai], s.lss[ai] = false, nil
+		}
 	}
 }

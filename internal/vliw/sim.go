@@ -208,14 +208,33 @@ type sim struct {
 	// fctx caches the per-function decode image and per-account
 	// plan/region alignment tables (see funcCtxOf in region.go).
 	fctx map[*sched.FuncCode]*funcCtx
-	// fromBuf/lss are the per-account results of the current fetch,
-	// sized len(accts) once so the per-bundle path never allocates.
+	// fromBuf/lss are the per-account verdicts of the region runner's
+	// current head fetch, sized len(accts) once so trips never allocate.
 	fromBuf []bool
 	lss     []*LoopStats
 	// pmu is the shared sampling clock (nil when sampling is off). One
 	// clock per batch: sample cycles are plan-independent, so every
 	// account profiles the same cycles of the one shared execution.
 	pmu *pmu.Clock
+	// shared holds the counts every account makes alike, kept once per
+	// batch and added to each account's Stats at the end of the run.
+	shared sharedCounts
+	// open counts the accounts with a loop residency open.
+	open int
+	// rings reports that the accounts have a cycle-level event sink.
+	// Events are per account, so rings force the per-account path.
+	rings bool
+}
+
+// sharedCounts are the plan-independent parts of every account's Stats:
+// the ops bundles issue (an account's rec fetches stay its own), the ops
+// nullified, and the redirect penalties every account pays alike —
+// calls, returns, and taken branches while no account streams a loop.
+// Outside planned loops, with no residency open, an account's fetch
+// accounting is exactly these counts, so the per-account work runs
+// only where plans differ.
+type sharedCounts struct {
+	issued, nullified, penalty int64
 }
 
 // Run executes scheduled code from the program entry under one buffer
@@ -277,8 +296,9 @@ func (s *sim) recordSample(a *account, fn string, pl *PlannedLoop, pc int32, cyc
 		}
 	}
 	a.prof.Record(fn, loopKey, loopLabel, pc, st, ops)
-	a.prof.Observe(cycle, a.stats.OpsFromBuffer,
-		a.stats.OpsIssued-a.stats.OpsFromBuffer, a.stats.BranchPenaltyCycles)
+	issued := a.stats.OpsIssued + s.shared.issued
+	a.prof.Observe(cycle, a.stats.OpsFromBuffer, issued-a.stats.OpsFromBuffer,
+		a.stats.BranchPenaltyCycles+s.shared.penalty)
 }
 
 // wheelSize returns the writeback-wheel size for a latency table: the
@@ -636,40 +656,14 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 		// Per-account loop-buffer bookkeeping for this fetch, issue
 		// event, and fetch statistics (per-bundle sums: every op in the
 		// bundle counts as issued, nullified or not, from one fetch
-		// source). Outside any planned loop with no residency open,
-		// fetch is a no-op by construction — skip the call on that
-		// (most common) path.
-		for ai, a := range s.accts {
-			var pl *PlannedLoop
-			if tab := fx.tabs[ai]; pc < len(tab) {
-				pl = tab[pc]
-			}
-			fromBuffer, ls := false, (*LoopStats)(nil)
-			if pl != nil || a.buf.cur != nil {
-				fromBuffer, ls = a.buf.fetch(pl, fc, pc, s, a)
-			}
-			s.fromBuf[ai] = fromBuffer
-			if a.ring != nil {
-				aux := int64(0)
-				if fromBuffer {
-					aux = 1
-				}
-				a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimIssue,
-					Run: a.label, Func: fc.F.Name, PC: int32(pc),
-					Arg: nOps, Aux: aux})
-			}
-			a.stats.OpsIssued += nOps
-			if fromBuffer {
-				a.stats.OpsFromBuffer += nOps
-				if ls != nil {
-					ls.OpsBuffered += nOps
-				}
-			} else if ls != nil {
-				ls.OpsMemory += nOps
-			}
-			if sample {
-				s.recordSample(a, fc.F.Name, pl, int32(pc), s.now, nOps, fromBuffer)
-			}
+		// source). The issued ops are the same for every account; the
+		// rest is a no-op for an account outside any planned loop with
+		// no residency open, so the per-account loop runs only where some
+		// account's plan covers the bundle, a residency is open, events
+		// are on or a sample is due.
+		s.shared.issued += nOps
+		if sample || s.rings || s.open > 0 || (pc < len(fx.covered) && fx.covered[pc]) {
+			s.fetchBundle(fc, fx, pc, nOps, sample)
 		}
 		if sample {
 			s.pmu.Fire(s.now)
@@ -680,11 +674,7 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if nullified != 0 {
-			for _, a := range s.accts {
-				a.stats.OpsNullified += nullified
-			}
-		}
+		s.shared.nullified += nullified
 		if sc.retired {
 			return sc.retVal, nil
 		}
@@ -707,6 +697,42 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 	}
 }
 
+// fetchBundle runs every account's fetch of bundle pc on the
+// interpretive path: its buffer state machine, issue event, buffer
+// statistics and, when due, its PMU sample.
+func (s *sim) fetchBundle(fc *sched.FuncCode, fx *funcCtx, pc int, nOps int64, sample bool) {
+	for ai, a := range s.accts {
+		var pl *PlannedLoop
+		if tab := fx.tabs[ai]; pc < len(tab) {
+			pl = tab[pc]
+		}
+		fromBuffer, ls := false, (*LoopStats)(nil)
+		if pl != nil || a.buf.cur != nil {
+			fromBuffer, ls = a.buf.fetch(pl, fc, pc, s, a)
+		}
+		if a.ring != nil {
+			aux := int64(0)
+			if fromBuffer {
+				aux = 1
+			}
+			a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimIssue,
+				Run: a.label, Func: fc.F.Name, PC: int32(pc),
+				Arg: nOps, Aux: aux})
+		}
+		if fromBuffer {
+			a.stats.OpsFromBuffer += nOps
+			if ls != nil {
+				ls.OpsBuffered += nOps
+			}
+		} else if ls != nil {
+			ls.OpsMemory += nOps
+		}
+		if sample {
+			s.recordSample(a, fc.F.Name, pl, int32(pc), s.now, nOps, fromBuffer)
+		}
+	}
+}
+
 // issueRun is the one op switch: it issues the bundles from pc on in
 // sequence, one per cycle, and returns after the first bundle that
 // resolves a branch or after bundle end-1, without advancing the clock
@@ -723,6 +749,7 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 func (s *sim) issueRun(f *frame, df *decodedFunc, pc, end int, sc *scratch) (int, int64, error) {
 	maxC := s.opts.MaxCycles
 	var nullified int64
+	var err error
 	for ; ; pc++ {
 		// EQ model: no interlocks. Reads sample the register file at
 		// issue time; the compiler is responsible for timing (the
@@ -733,79 +760,116 @@ func (s *sim) issueRun(f *frame, df *decodedFunc, pc, end int, sc *scratch) (int
 		for i := range db.ops {
 			d := &db.ops[i]
 			guard := true
-			if d.guard != 0 {
-				guard = s.readPred(f, d.guard)
+			if d.Guard != 0 {
+				guard = s.readPred(f, d.Guard)
 			}
-			if !guard && d.kind != dCmpP {
+			if !guard && d.Kind != ir.KindCmpP {
 				nullified++
 				continue
 			}
-			switch d.kind {
-			case dNop:
+			// Kinds whose result routing depends on direct and the
+			// latency set v and routed.
+			var v int64
+			routed := false
+			switch d.Kind {
+			case ir.KindNop:
 
-			case dALU:
-				var a, b int64
-				if d.aImm {
-					a = d.imm
-				} else {
-					a = s.readReg(f, d.a)
-				}
-				if !d.unary {
-					if d.bImm {
-						b = d.imm
-					} else {
-						b = s.readReg(f, d.b)
+			// The specialized ALU kinds are direct writes (see
+			// markDirect).
+			case ir.KindMovR:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A])
+			case ir.KindMovI:
+				f.regs[d.Dest] = ir.W32(d.Imm)
+			case ir.KindAddRR:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] + f.regs[d.B])
+			case ir.KindAddRI:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] + d.Imm)
+			case ir.KindSubRR:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] - f.regs[d.B])
+			case ir.KindSubRI:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] - d.Imm)
+			case ir.KindMulRR:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] * f.regs[d.B])
+			case ir.KindMulRI:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] * d.Imm)
+			case ir.KindAndRR:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] & f.regs[d.B])
+			case ir.KindAndRI:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] & d.Imm)
+			case ir.KindShlRR:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] << (uint64(f.regs[d.B]) & 31))
+			case ir.KindShlRI:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] << (uint64(d.Imm) & 31))
+			case ir.KindShrRR:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] >> (uint64(f.regs[d.B]) & 31))
+			case ir.KindShrRI:
+				f.regs[d.Dest] = ir.W32(f.regs[d.A] >> (uint64(d.Imm) & 31))
+			case ir.KindLdW:
+				var ok bool
+				if v, ok = ir.LoadW(s.mem, f.regs[d.A]+d.Imm); !ok {
+					if v, err = s.loadFault(f, d, pc); err != nil {
+						return pc + 1, nullified, err
 					}
 				}
-				var v int64
-				switch d.alu {
-				case aAdd:
-					v = ir.W32(a + b)
-				case aSub:
-					v = ir.W32(a - b)
-				case aMov:
-					v = ir.W32(a)
-				case aAbs:
-					if a < 0 {
-						a = -a
+				routed = true
+			case ir.KindLdH:
+				var ok bool
+				if v, ok = ir.LoadH(s.mem, f.regs[d.A]+d.Imm); !ok {
+					if v, err = s.loadFault(f, d, pc); err != nil {
+						return pc + 1, nullified, err
 					}
-					v = ir.W32(a)
-				case aMul:
-					v = ir.W32(a * b)
-				case aAnd:
-					v = ir.W32(a & b)
-				case aOr:
-					v = ir.W32(a | b)
-				case aXor:
-					v = ir.W32(a ^ b)
-				case aShl:
-					v = ir.W32(a << (uint64(b) & 31))
-				default:
-					v = ir.EvalALU(d.opc, d.cmp, a, b)
 				}
-				if d.direct {
-					f.regs[d.dest] = v
-				} else if d.lat == 1 {
-					s.writeRegFast(f, d.dest, v)
-				} else {
-					s.writeReg(f, d.dest, v, d.lat)
+				routed = true
+			case ir.KindLdHU:
+				var ok bool
+				if v, ok = ir.LoadHU(s.mem, f.regs[d.A]+d.Imm); !ok {
+					if v, err = s.loadFault(f, d, pc); err != nil {
+						return pc + 1, nullified, err
+					}
 				}
+				routed = true
+			case ir.KindLdB:
+				var ok bool
+				if v, ok = ir.LoadB(s.mem, f.regs[d.A]+d.Imm); !ok {
+					if v, err = s.loadFault(f, d, pc); err != nil {
+						return pc + 1, nullified, err
+					}
+				}
+				routed = true
+			case ir.KindLdBU:
+				var ok bool
+				if v, ok = ir.LoadBU(s.mem, f.regs[d.A]+d.Imm); !ok {
+					if v, err = s.loadFault(f, d, pc); err != nil {
+						return pc + 1, nullified, err
+					}
+				}
+				routed = true
 
-			case dCmpP:
-				var a, b int64
-				if d.aImm {
-					a = d.imm
-				} else {
-					a = s.readReg(f, d.a)
+			case ir.KindALU:
+				a := s.readReg(f, d.A)
+				if d.AImm {
+					a = d.Imm
 				}
-				if d.bImm {
-					b = d.imm
-				} else {
-					b = s.readReg(f, d.b)
+				var b int64
+				if !d.Unary {
+					b = s.readReg(f, d.B)
+					if d.BImm {
+						b = d.Imm
+					}
 				}
-				cond := d.cmp.Eval(a, b)
-				for pi := uint8(0); pi < d.nPD; pi++ {
-					pd := d.pd[pi]
+				v, routed = ir.EvalALU(d.Opc, d.Cmp, a, b), true
+
+			case ir.KindCmpP:
+				a, b := s.readReg(f, d.A), s.readReg(f, d.B)
+				if d.AImm {
+					a = d.Imm
+				}
+				if d.BImm {
+					b = d.Imm
+				}
+				cond := d.Cmp.Eval(a, b)
+				for pi := uint8(0); pi < d.NPD; pi++ {
+					pd := d.PD[pi]
 					v, w := pd.Type.Update(guard, cond)
 					if w {
 						if d.lat == 1 {
@@ -816,90 +880,68 @@ func (s *sim) issueRun(f *frame, df *decodedFunc, pc, end int, sc *scratch) (int
 					}
 				}
 
-			case dSel:
-				v := s.readReg(f, d.b)
-				if s.readReg(f, d.a) == 0 {
-					v = s.readReg(f, d.c)
-				}
-				if d.direct {
-					f.regs[d.dest] = v
-				} else if d.lat == 1 {
-					s.writeRegFast(f, d.dest, v)
-				} else {
-					s.writeReg(f, d.dest, v, d.lat)
+			case ir.KindSel:
+				v, routed = s.readReg(f, d.B), true
+				if s.readReg(f, d.A) == 0 {
+					v = s.readReg(f, d.C)
 				}
 
-			case dLoad:
-				v, err := ir.Load(s.mem, d.opc, s.readReg(f, d.a)+d.imm)
-				if err != nil {
-					if !d.spec {
-						return pc + 1, nullified, fmt.Errorf("%s in %s pc=%d: %v", d.op, f.fc.F.Name, pc, err)
-					}
-					v = 0 // speculative loads squash faults
-				}
-				if d.direct {
-					f.regs[d.dest] = v
-				} else if d.lat == 1 {
-					s.writeRegFast(f, d.dest, v)
-				} else {
-					s.writeReg(f, d.dest, v, d.lat)
-				}
-
-			case dStore:
-				addr := s.readReg(f, d.a) + d.imm
-				if err := ir.CheckAccess(s.mem, d.opc, addr); err != nil {
+			case ir.KindStore:
+				addr := s.readReg(f, d.A) + d.Imm
+				if err := ir.CheckAccess(s.mem, d.Opc, addr); err != nil {
 					return pc + 1, nullified, fmt.Errorf("%s in %s pc=%d: %v", d.op, f.fc.F.Name, pc, err)
 				}
-				sc.stores = append(sc.stores, storeAction{opc: d.opc, addr: addr, val: s.readReg(f, d.b)})
+				sc.stores = append(sc.stores, storeAction{opc: d.Opc, addr: addr, val: s.readReg(f, d.B)})
 
-			case dBr:
-				var a, b int64
-				if d.aImm {
-					a = d.imm
-				} else {
-					a = s.readReg(f, d.a)
+			case ir.KindBr:
+				a, b := s.readReg(f, d.A), s.readReg(f, d.B)
+				if d.AImm {
+					a = d.Imm
 				}
-				if d.bImm {
-					b = d.imm
-				} else {
-					b = s.readReg(f, d.b)
+				if d.BImm {
+					b = d.Imm
 				}
-				if d.cmp.Eval(a, b) {
+				if d.Cmp.Eval(a, b) {
 					sc.branches = append(sc.branches, branchAction{d: d, taken: true})
 				} else if d.loopBack {
 					sc.branches = append(sc.branches, branchAction{d: d, taken: false})
 				}
 
-			case dJump:
+			case ir.KindJump:
 				sc.branches = append(sc.branches, branchAction{d: d, taken: true})
 
-			case dBrCLoop:
-				c := ir.W32(s.readReg(f, d.a) - 1)
-				if d.direct {
-					f.regs[d.dest] = c
-				} else if d.lat == 1 {
-					s.writeRegFast(f, d.dest, c)
-				} else {
-					s.writeReg(f, d.dest, c, d.lat)
-				}
+			case ir.KindBrCLoop:
+				c := ir.W32(s.readReg(f, d.A) - 1)
+				v, routed = c, true
 				sc.branches = append(sc.branches, branchAction{d: d, taken: c > 0})
 
-			case dCall:
+			case ir.KindCall:
 				rv, next, err := s.execCall(f, d, pc, df)
 				if err != nil {
 					return pc + 1, nullified, err
 				}
 				if len(d.op.Dest) > 0 {
-					s.writeRegFast(f, d.dest, rv)
+					s.writeRegFast(f, d.Dest, rv)
 				}
 				sc.callNext = next
 
-			case dRet:
-				sc.retVal = s.readReg(f, d.a)
+			case ir.KindRet:
+				sc.retVal = s.readReg(f, d.A)
 				sc.retired = true
 
 			default:
 				return pc + 1, nullified, fmt.Errorf("vliw: unhandled op %s", d.op)
+			}
+			if routed {
+				// A result that is not direct lands through the
+				// writeback machinery.
+				if d.direct {
+					f.regs[d.Dest] = v
+				} else if d.lat == 1 {
+					s.writeRegFast(f, d.Dest, v)
+				} else {
+					s.writeReg(f, d.Dest, v, d.lat)
+				}
 			}
 		}
 		for _, st := range sc.stores {
@@ -916,6 +958,16 @@ func (s *sim) issueRun(f *frame, df *decodedFunc, pc, end int, sc *scratch) (int
 			return pc + 1, nullified, cycleLimit(f.fc, pc+1)
 		}
 	}
+}
+
+// loadFault handles a width load whose access fell outside memory at
+// bundle pc: speculative loads squash the fault and read 0.
+func (s *sim) loadFault(f *frame, d *dop, pc int) (int64, error) {
+	_, err := ir.Load(s.mem, d.Opc, f.regs[d.A]+d.Imm)
+	if d.Spec {
+		return 0, nil
+	}
+	return 0, fmt.Errorf("%s in %s pc=%d: %v", d.op, f.fc.F.Name, pc, err)
 }
 
 func cycleLimit(fc *sched.FuncCode, pc int) error {
@@ -935,10 +987,9 @@ func (s *sim) execCall(f *frame, d *dop, pc int, df *decodedFunc) (int64, int, e
 	}
 	s.now++
 	bp := int64(s.code.Mach.BranchPenalty)
-	for _, a := range s.accts {
-		a.penalty += bp
-		a.stats.BranchPenaltyCycles += bp
-		if a.ring != nil {
+	s.shared.penalty += bp
+	if s.rings {
+		for _, a := range s.accts {
 			a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimCall,
 				Run: a.label, Func: d.op.Callee, PC: int32(pc)})
 		}
@@ -953,10 +1004,9 @@ func (s *sim) execCall(f *frame, d *dop, pc int, df *decodedFunc) (int64, int, e
 	// The caller's wheel slots went stale while it sat suspended through
 	// the callee's cycles; land everything now due before resuming.
 	s.drainDue(f)
-	for _, a := range s.accts {
-		a.penalty += bp
-		a.stats.BranchPenaltyCycles += bp
-		if a.ring != nil {
+	s.shared.penalty += bp
+	if s.rings {
+		for _, a := range s.accts {
 			a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimRet,
 				Run: a.label, Func: d.op.Callee, PC: int32(pc)})
 		}
@@ -977,6 +1027,8 @@ func (s *sim) execCall(f *frame, d *dop, pc int, df *decodedFunc) (int64, int, e
 // penalties and buffer-state transitions are per-account — a plan that
 // keeps the loop resident predicts its loop-back for free while an
 // unplanned account pays the redirect, on the same control transfer.
+// With no residency open every account pays a taken branch alike and
+// no exit costs anything, so without events the penalty is shared.
 // Shared by the interpretive loop and the region runner's exit path so
 // both charge bit-identical penalties and emit identical redirects.
 func (s *sim) resolveControl(fc *sched.FuncCode, pc int, sc *scratch) int {
@@ -984,6 +1036,9 @@ func (s *sim) resolveControl(fc *sched.FuncCode, pc int, sc *scratch) int {
 	for _, ba := range sc.branches {
 		if !ba.taken {
 			// Untaken loop-back: loop exit.
+			if s.open == 0 {
+				continue
+			}
 			for _, a := range s.accts {
 				p := a.buf.exitPenalty(fc, pc, ba.d.loopBack, s, a)
 				a.penalty += p
@@ -996,6 +1051,10 @@ func (s *sim) resolveControl(fc *sched.FuncCode, pc int, sc *scratch) int {
 			continue
 		}
 		next = int(ba.d.target)
+		if s.open == 0 && !s.rings {
+			s.shared.penalty += int64(s.code.Mach.BranchPenalty)
+			break
+		}
 		for _, a := range s.accts {
 			p := a.buf.takenPenalty(fc, pc, ba.d.loopBack, int(ba.d.target), s, a)
 			a.penalty += p
