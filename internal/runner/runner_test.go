@@ -96,6 +96,51 @@ func TestFlightDedup(t *testing.T) {
 	}
 }
 
+// TestFlightForgetsPanics checks that a panicking fn releases the
+// callers waiting on it with ErrFlightPanicked, re-raises in its own
+// caller, and leaves the key free for the next call.
+func TestFlightForgetsPanics(t *testing.T) {
+	var f Flight
+	started := make(chan struct{})
+	type result struct {
+		shared bool
+		err    error
+	}
+	waited := make(chan result, 1)
+	go func() {
+		<-started
+		_, shared, err := f.Do("key", func() (any, error) { return 1, nil })
+		waited <- result{shared, err}
+	}()
+	func() {
+		defer func() {
+			if v := recover(); v != "boom" {
+				t.Fatalf("recovered %v, want fn's panic", v)
+			}
+		}()
+		_, _, _ = f.Do("key", func() (any, error) {
+			close(started)
+			// Let the waiter join this call, as TestFlightDedup does.
+			time.Sleep(50 * time.Millisecond)
+			panic("boom")
+		})
+	}()
+	select {
+	case r := <-waited:
+		// A waiter that came too late ran its own fn, which proves
+		// nothing but is no failure.
+		if r.shared && !errors.Is(r.err, ErrFlightPanicked) {
+			t.Fatalf("waiter got %v, want ErrFlightPanicked", r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiter of a panicked call stays blocked")
+	}
+	v, shared, err := f.Do("key", func() (any, error) { return 5, nil })
+	if err != nil || shared || v.(int) != 5 {
+		t.Fatalf("retry after a panic: %v %v %v", v, shared, err)
+	}
+}
+
 // TestCancellationOnFailure checks that the first failure stops the
 // loop: tasks that have not started never start, and the failure is
 // reported with its job's kind and key.

@@ -14,12 +14,14 @@ const FlightRecSchema = "lpbuf.flightrec/v1"
 const flightRecCapacity = 512
 
 // FlightRecord is one entry of the flight recorder: a job lifecycle
-// transition or an admission rejection, stamped in arrival order.
+// transition, an admission rejection or a job's panic, stamped in
+// arrival order.
 type FlightRecord struct {
 	Seq  int64  `json:"seq"`
 	Time string `json:"time"` // RFC 3339, nanoseconds
-	// Kind is "transition" (a job changed state) or "rejected" (an
-	// admission failure — no job was created).
+	// Kind is "transition" (a job changed state), "rejected" (an
+	// admission failure — no job was created) or "panic" (the job's own
+	// code panicked; the job then fails).
 	Kind    string `json:"kind"`
 	JobID   string `json:"job,omitempty"`
 	Client  string `json:"client,omitempty"`
@@ -30,8 +32,11 @@ type FlightRecord struct {
 	// saw and why).
 	Code   int    `json:"code,omitempty"`
 	Reason string `json:"reason,omitempty"`
-	// Err carries the failure/cancellation cause on terminal transitions.
+	// Err carries the failure/cancellation cause on terminal transitions
+	// and the panic value on a panic.
 	Err string `json:"err,omitempty"`
+	// Stack is the panicking goroutine's stack on a panic.
+	Stack string `json:"stack,omitempty"`
 }
 
 // flightRecorder is a bounded mutex ring of recent FlightRecords — the

@@ -28,8 +28,8 @@ const maxRequestBody = 1 << 20
 //	                             (lpbuf.simprofile/v1 JSON)
 //	GET    /metrics              registry snapshot (JSON; ?format=prom
 //	                             for Prometheus text exposition)
-//	GET    /debug/flightrecorder recent transitions/rejections
-//	                             (?kind=transition|rejection, ?limit=K;
+//	GET    /debug/flightrecorder recent transitions/rejections/panics
+//	                             (?kind=transition|rejection|panic, ?limit=K;
 //	                             ?n=K is a legacy alias of limit)
 //	GET    /healthz              liveness/drain status
 //
@@ -317,8 +317,10 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 		kind = "transition"
 	case "rejection", "rejected":
 		kind = "rejected"
+	case "panic":
+		kind = "panic"
 	default:
-		writeError(w, http.StatusBadRequest, "bad kind %q (transition, rejection)", q)
+		writeError(w, http.StatusBadRequest, "bad kind %q (transition, rejection, panic)", q)
 		return
 	}
 	// Filter before trimming so `limit` means "newest K of the requested

@@ -9,6 +9,7 @@ import (
 	"log"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,6 +200,7 @@ type Server struct {
 	cStoreHits, cStoreMiss *obs.Counter
 	cDedup                 *obs.Counter
 	cReloads               *obs.Counter
+	cPanics                *obs.Counter
 	gQueued, gRunning      *obs.Gauge
 	gInFlight              *obs.Gauge
 
@@ -260,6 +262,7 @@ func New(cfg Config) (*Server, error) {
 		cStoreMiss: reg.Counter("service.store_misses"),
 		cDedup:     reg.Counter("service.inflight_dedup"),
 		cReloads:   reg.Counter("service.config_reloads"),
+		cPanics:    reg.Counter("service.job_panics"),
 		gQueued:    reg.Gauge("service.jobs_queued"),
 		gRunning:   reg.Gauge("service.jobs_running"),
 		gInFlight:  reg.Gauge("http.in_flight"),
@@ -753,6 +756,7 @@ func (s *Server) runJob(j *Job) {
 		TraceID: j.traceID,
 	})
 	j.hub.publish(Event{Type: "state", JobID: j.id, State: StateRunning})
+	defer s.recoverJob(j)
 
 	// Content-addressed fast path: an identical job already produced
 	// these bytes (this process or any earlier one sharing the store).
@@ -802,6 +806,23 @@ func (s *Server) runJob(j *Job) {
 		s.slog().Error("job failed", "job", j.id, "trace", j.traceID, "err", err)
 		s.finalize(j, StateFailed, err, false, shared)
 	}
+}
+
+// recoverJob contains a panic in a running job's own code (store,
+// build and encode): the job fails with an error naming the panic, the
+// stack goes to the flight recorder, service.job_panics counts it, and
+// the worker goes on to its next job.
+func (s *Server) recoverJob(j *Job) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	stack := string(debug.Stack())
+	s.cPanics.Inc()
+	s.flightrec.record(FlightRecord{Kind: "panic", JobID: j.id, Client: j.client,
+		TraceID: j.traceID, Err: fmt.Sprint(v), Stack: stack})
+	s.slog().Error("job panicked", "job", j.id, "trace", j.traceID, "panic", v)
+	s.finalize(j, StateFailed, fmt.Errorf("panic: %v", v), false, false)
 }
 
 // buildArtifact computes the job's figures through a per-job Suite

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -520,6 +521,59 @@ func TestInFlightDedup(t *testing.T) {
 	}
 	if n, _ := s.Store().Len(); n != 1 {
 		t.Fatalf("store holds %d objects, want 1", n)
+	}
+}
+
+// TestJobPanicFailsTheJob checks that a panic in a job's own code
+// fails that job only: it fails with an error naming the panic, its
+// stack reaches the flight recorder, service.job_panics counts it, an
+// identical resubmitted spec computes instead of blocking on the
+// panicked build, and the worker serves the next job.
+func TestJobPanicFailsTheJob(t *testing.T) {
+	s := testServer(t, Config{})
+	var builds atomic.Int64
+	s.build = func(j *Job) ([]byte, error) {
+		if builds.Add(1) == 1 {
+			panic("boom")
+		}
+		return []byte("{\"ok\":true}\n"), nil
+	}
+	spec := JobSpec{Figures: []string{"3"}}
+	a, err := s.Submit(spec, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, a, StateFailed)
+	if st := a.Status(); !strings.Contains(st.Error, "panic: boom") {
+		t.Fatalf("failed job's error %q does not name the panic", st.Error)
+	}
+	if got := s.Registry().Snapshot().Counters["service.job_panics"]; got != 1 {
+		t.Fatalf("service.job_panics = %d, want 1", got)
+	}
+	_, records := s.flightrec.records(0)
+	var panicRec *FlightRecord
+	for i := range records {
+		if records[i].Kind == "panic" {
+			panicRec = &records[i]
+		}
+	}
+	if panicRec == nil || panicRec.JobID != a.ID() || panicRec.Err != "boom" ||
+		!strings.Contains(panicRec.Stack, "runJob") {
+		t.Fatalf("flight recorder panic record = %+v, want job %s's panic and stack", panicRec, a.ID())
+	}
+
+	b, err := s.Submit(spec, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, b, StateDone)
+	c, err := s.Submit(JobSpec{Figures: []string{"5"}}, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, StateDone)
+	if n := builds.Load(); n != 3 {
+		t.Fatalf("%d builds, want 3 (the panicked one, its retry, the next job)", n)
 	}
 }
 
