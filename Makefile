@@ -9,7 +9,8 @@ BENCH_COUNT ?= 5
 # Base commit for `make benchdiff` (compare HEAD against this).
 BASE ?= HEAD~1
 
-.PHONY: build test race bench bench-headline benchdiff baselines fmt vet
+
+.PHONY: build test race bench bench-headline bench-pair benchdiff baselines fmt vet
 
 build:
 	$(GO) build ./...
@@ -24,23 +25,21 @@ race:
 # Figure 7 benchmarks plus the simulator throughput benches
 # (SimulatorThroughput, SimsPerSec and its PMU-sampling twin), each
 # sampled in BENCH_COUNT fresh processes so in-process caches cannot
-# flatter the numbers and benchdiff gets real per-metric variance. CI
-# runs this target and diffs the result against its previous run.
+# flatter the numbers and benchdiff gets real per-metric variance.
 bench:
 	$(GO) run ./cmd/benchjson -benchtime 1x -count $(BENCH_COUNT) -out BENCH_simulator.json
 
 # bench-headline additionally covers every paper figure (slower).
 bench-headline:
 	$(GO) run ./cmd/benchjson -benchtime 1x -count $(BENCH_COUNT) -out BENCH_simulator.json \
-		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU'
+		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU,BenchmarkInterp'
 
-# benchdiff benchmarks BASE (default HEAD~1) in a detached worktree,
-# benchmarks the current tree, and runs the statistical comparison,
-# ratio rows included. Today's harness binary is used for both sides,
-# so the two artifacts always share one schema and one set of benchmark
-# groups; both run on this host, so wall-clock rows gate too.
-# Usage: make benchdiff [BASE=v1.2] [BENCH_COUNT=5]
-benchdiff:
+# bench-pair benchmarks BASE (default HEAD~1) in a detached worktree
+# and then the current tree, writing bench-old.json and bench-new.json.
+# Today's harness binary is used for both sides, so the two artifacts
+# always share one schema and one set of benchmark groups, and both run
+# on this host. CI's perf-gate runs it against the pull request's base.
+bench-pair:
 	@rm -rf .benchdiff-base
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) build -o bin/benchdiff ./cmd/benchdiff
@@ -49,6 +48,11 @@ benchdiff:
 	status=$$?; cd ..; git worktree remove --force .benchdiff-base; \
 	exit $$status
 	./bin/benchjson -benchtime 1x -count $(BENCH_COUNT) -out bench-new.json
+
+# benchdiff runs bench-pair and the statistical comparison, ratio rows
+# included; since both sides ran on this host, wall-clock rows gate too.
+# Usage: make benchdiff [BASE=v1.2] [BENCH_COUNT=5]
+benchdiff: bench-pair
 	./bin/benchdiff bench-old.json bench-new.json
 
 # baselines regenerates the golden sim-stat document after an

@@ -17,7 +17,10 @@ import (
 	"lpbuf/internal/bench/suite"
 	"lpbuf/internal/core"
 	"lpbuf/internal/experiments"
+	"lpbuf/internal/interp"
+	"lpbuf/internal/ir"
 	"lpbuf/internal/obs/pmu"
+	"lpbuf/internal/profile"
 	"lpbuf/internal/vliw"
 )
 
@@ -214,6 +217,31 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(ops), "sim-ops/run")
 	b.ReportMetric(float64(cycles), "sim-cycles/run")
+}
+
+// BenchmarkInterp measures the IR interpreter as reference runs use it:
+// each iteration interprets the 11 original Table 1 programs with
+// profiling on. It reports ns per interpreted IR op and the IR ops of
+// one iteration, a deterministic count.
+func BenchmarkInterp(b *testing.B) {
+	var progs []*ir.Program
+	for _, bm := range suite.All() {
+		progs = append(progs, bm.Build())
+	}
+	b.ResetTimer()
+	var ops int64
+	for i := 0; i < b.N; i++ {
+		ops = 0
+		for _, p := range progs {
+			res, err := interp.Run(p, interp.Options{Profile: profile.New()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ops += res.Ops
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*int64(b.N)), "ns/ir-op")
+	b.ReportMetric(float64(ops), "ir-ops/run")
 }
 
 // sweepsPerIter is how many full buffer sweeps one b.N iteration of

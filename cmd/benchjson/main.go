@@ -49,7 +49,7 @@ type sample struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {
-	bench := flag.String("bench", "BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU", "comma-separated process groups; each group is a benchmark-name alternation run in fresh processes")
+	bench := flag.String("bench", "BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU,BenchmarkInterp", "comma-separated process groups; each group is a benchmark-name alternation run in fresh processes")
 	benchtime := flag.String("benchtime", "1x", "passed to go test -benchtime")
 	count := flag.Int("count", 3, "samples per group; each sample is one fresh go test process")
 	out := flag.String("out", "BENCH_simulator.json", "output file")
