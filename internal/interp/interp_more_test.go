@@ -117,6 +117,56 @@ func TestCallDepthLimit(t *testing.T) {
 	}
 }
 
+// TestOpLimitAcrossCalls pins where the op limit stops a run whose
+// loop block calls out before its own last ops: the limit counts ops as
+// they execute, so the run of 32 ops fails under any smaller MaxOps,
+// naming the function of the first op past the limit.
+func TestOpLimitAcrossCalls(t *testing.T) {
+	pb := irbuild.NewProgram(64)
+	h := pb.Func("h", 1, true)
+	h.Block("e")
+	x := h.Reg()
+	h.AddI(x, h.Param(0), 1)
+	h.AddI(x, x, 1)
+	h.Ret(x)
+	f := pb.Func("main", 0, true)
+	f.Block("e")
+	a := f.Const(3)
+	i := f.Const(0)
+	f.Block("loop")
+	d := f.Reg()
+	f.Call(d, "h", a)
+	f.Add(a, a, d)
+	f.AddI(i, i, 1)
+	f.BrI(ir.CmpLT, i, 4, "loop")
+	f.AddI(a, a, 7)
+	f.Block("out")
+	f.Ret(a)
+	pb.SetEntry("main")
+	prog := pb.MustBuild()
+
+	// owner[k] is the function that executes op k+1.
+	owner := []string{"main", "main"}
+	for j := 0; j < 4; j++ {
+		owner = append(owner, "main", "h", "h", "h", "main", "main", "main")
+	}
+	owner = append(owner, "main", "main")
+	total := int64(len(owner))
+	for lim := int64(1); lim <= total; lim++ {
+		res, err := Run(prog, Options{MaxOps: lim})
+		if lim == total {
+			if err != nil || res.Ops != total {
+				t.Fatalf("MaxOps %d: %v, want a run of %d ops", lim, err, total)
+			}
+			continue
+		}
+		want := "interp: op limit exceeded in " + owner[lim]
+		if err == nil || err.Error() != want {
+			t.Fatalf("MaxOps %d: error %v, want %q", lim, err, want)
+		}
+	}
+}
+
 func TestStoreOutOfRangeFaults(t *testing.T) {
 	pb := irbuild.NewProgram(16 << 10)
 	f := pb.Func("main", 0, false)

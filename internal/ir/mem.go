@@ -51,26 +51,30 @@ func CheckAccess(mem []byte, opc Opcode, addr int64) error {
 
 // Load returns the value the load opcode opc reads from mem at addr.
 func Load(mem []byte, opc Opcode, addr int64) (int64, error) {
-	if !inBounds(mem, opc, addr) {
-		return 0, &accessError{opc, addr}
-	}
+	var v int64
+	var ok bool
 	switch opc {
 	case OpLdB:
-		return int64(int8(mem[addr])), nil
+		v, ok = LoadB(mem, addr)
 	case OpLdBU:
-		return int64(mem[addr]), nil
+		v, ok = LoadBU(mem, addr)
 	case OpLdH:
-		return int64(int16(binary.LittleEndian.Uint16(mem[addr:]))), nil
+		v, ok = LoadH(mem, addr)
 	case OpLdHU:
-		return int64(binary.LittleEndian.Uint16(mem[addr:])), nil
+		v, ok = LoadHU(mem, addr)
+	default:
+		v, ok = LoadW(mem, addr)
 	}
-	return int64(int32(binary.LittleEndian.Uint32(mem[addr:]))), nil
+	if !ok {
+		return 0, &accessError{opc, addr}
+	}
+	return v, nil
 }
 
 // LoadB, LoadBU, LoadH, LoadHU and LoadW are Load for one width, small
 // enough to inline into an executor's op switch (the width load kinds
 // of Decode). ok is false when the access does not lie wholly inside
-// mem; Load then gives the error.
+// mem, for which Load gives the error.
 func LoadB(mem []byte, addr int64) (v int64, ok bool) {
 	if addr < 0 || addr >= int64(len(mem)) {
 		return 0, false
