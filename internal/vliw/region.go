@@ -416,8 +416,8 @@ func (s *sim) flushRegion(fc *sched.FuncCode, df *decodedFunc, r *region, iterBa
 // first branch or at the region end.
 //
 // Two shortcuts leave the accounting unchanged. The head fetch runs
-// only when some account plans the region, a residency is open or
-// events are on: otherwise it is a no-op for every account. And once
+// only when some account plans the region or has a residency open:
+// otherwise it is a no-op for every account. And once
 // every account is steady in a loop region (see steady), a whole trip
 // that ends in the predicted loop-back with no PMU sample due changes
 // no buffer state, so it is counted instead of accounted. The first
