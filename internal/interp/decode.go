@@ -99,34 +99,37 @@ func (st *state) funcFor(name string) *fn {
 }
 
 // decode builds fn's image: the blocks reachable from the entry, in the
-// order execution could find them, then their ops.
+// order execution could find them, then their ops. All of a function's
+// ops share one backing array, as do its counters.
 func (st *state) decode(fn *fn) {
 	f := fn.f
 	fn.nRegs, fn.nPreds = int(f.NumRegs())+1, int(f.NumPreds())+1
 
 	index := map[ir.BlockID]int32{}
+	var ids []ir.BlockID
 	var blks []*ir.Block // nil for a missing ID
 	add := func(id ir.BlockID) {
 		if _, ok := index[id]; !ok {
 			index[id] = int32(len(blks))
+			ids = append(ids, id)
 			blks = append(blks, f.Block(id))
-			fn.keys = append(fn.keys, ctrKey{kind: ctrBlock, id: int(id)})
-		}
-	}
-	visit := func(id ir.BlockID) {
-		if id != 0 {
-			add(id)
 		}
 	}
 	add(f.Entry)
+	nops := 0
 	for i := 0; i < len(blks); i++ {
-		if b := blks[i]; b != nil {
-			for _, o := range b.Ops {
-				if transfers(o) {
-					visit(o.Target)
-				}
+		b := blks[i]
+		if b == nil {
+			continue
+		}
+		nops += len(b.Ops)
+		for _, o := range b.Ops {
+			if transfers(o) && o.Target != 0 {
+				add(o.Target)
 			}
-			visit(b.Fall)
+		}
+		if b.Fall != 0 {
+			add(b.Fall)
 		}
 	}
 	resolve := func(id ir.BlockID) int32 {
@@ -135,31 +138,38 @@ func (st *state) decode(fn *fn) {
 		}
 		return index[id]
 	}
+
+	// Block entries take the first slots; an op takes at most three
+	// more (a transfer's edge, a branch's two counts) and a block one
+	// for its fallthrough edge.
+	keys := make([]ctrKey, len(blks), len(blks)+3*nops+len(blks))
+	for i, id := range ids {
+		keys[i] = ctrKey{kind: ctrBlock, id: int(id)}
+	}
+	succ := make([]int32, cap(keys))
 	slot := func(k ctrKey) int32 {
-		fn.keys = append(fn.keys, k)
-		return int32(len(fn.keys) - 1)
+		keys = append(keys, k)
+		return int32(len(keys) - 1)
+	}
+	edgeTo := func(from ir.BlockID, to ir.BlockID) int32 {
+		e := slot(ctrKey{kind: ctrEdge, id: int(from), to: to})
+		succ[e] = resolve(to)
+		return e
 	}
 
 	fn.entry = index[f.Entry]
 	fn.blocks = make([]block, len(blks))
-	var succ []int32
-	edgeTo := func(from ir.BlockID, to ir.BlockID) int32 {
-		e := slot(ctrKey{kind: ctrEdge, id: int(from), to: to})
-		for len(succ) <= int(e) {
-			succ = append(succ, fellOff)
-		}
-		succ[e] = resolve(to)
-		return e
-	}
+	ops, refs := make([]op, nops), make([]opRef, nops)
 	for i, b := range blks {
 		db := &fn.blocks[i]
+		db.id = ids[i]
 		if b == nil {
-			db.id, db.missing = ir.BlockID(fn.keys[i].id), true
+			db.missing = true
 			continue
 		}
-		db.id = b.ID
-		db.ops = make([]op, len(b.Ops))
-		db.refs = make([]opRef, len(b.Ops))
+		n := len(b.Ops)
+		db.ops, db.refs = ops[:n:n], refs[:n:n]
+		ops, refs = ops[n:], refs[n:]
 		for j, o := range b.Ops {
 			d := &db.ops[j]
 			d.DecodedOp = ir.Decode(o)
@@ -179,8 +189,8 @@ func (st *state) decode(fn *fn) {
 		db.fall = resolve(b.Fall)
 		db.fallEdge = edgeTo(b.ID, b.Fall)
 	}
-	fn.ctr = make([]int64, len(fn.keys))
-	fn.succ = succ
+	fn.keys, fn.succ = keys, succ[:len(keys)]
+	fn.ctr = make([]int64, len(keys))
 }
 
 // transfers reports whether o can move control to its Target block.

@@ -89,15 +89,18 @@ func (s *sim) funcCtxOf(fc *sched.FuncCode) *funcCtx {
 	}
 	df := decodedOf(s.code, fc)
 	fx := &funcCtx{df: df, tabs: make([][]*PlannedLoop, len(s.accts))}
+	covered := 0
 	for ai, a := range s.accts {
-		tab := a.buf.loopsFor(fc.F.Name)
-		fx.tabs[ai] = tab
-		for len(fx.covered) < len(tab) {
-			fx.covered = append(fx.covered, false)
-		}
-		for pc, pl := range tab {
-			if pl != nil {
-				fx.covered[pc] = true
+		fx.tabs[ai] = a.buf.loopsFor(fc.F.Name)
+		covered = max(covered, len(fx.tabs[ai]))
+	}
+	if covered > 0 {
+		fx.covered = make([]bool, covered)
+		for _, tab := range fx.tabs {
+			for pc, pl := range tab {
+				if pl != nil {
+					fx.covered[pc] = true
+				}
 			}
 		}
 	}
