@@ -767,8 +767,8 @@ func (s *sim) issueRun(f *frame, df *decodedFunc, pc, end int, sc *scratch) (int
 				nullified++
 				continue
 			}
-			// Kinds whose result routing depends on direct and the
-			// latency set v and routed.
+			// A kind whose result may go through the writeback machinery
+			// sets v and routed; the routing follows the switch.
 			var v int64
 			routed := false
 			switch d.Kind {
