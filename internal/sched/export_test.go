@@ -1,0 +1,10 @@
+package sched
+
+// TryII and ResMII expose the heuristic's single-II attempt and the
+// resource bound to the external tests, which collect benchmark loops
+// through core (core imports this package, so those tests cannot live
+// in it).
+var (
+	TryII  = tryII
+	ResMII = resMII
+)
