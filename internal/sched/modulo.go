@@ -48,17 +48,65 @@ func (heuristicBackend) ScheduleLoop(d *DAG, m *machine.Desc, maxII int) *Kernel
 // a ModuloScheduler.
 func Heuristic() ModuloScheduler { return heuristicBackend{} }
 
-// MinII returns the lower bound on the initiation interval used by
-// both scheduler backends: the resource-constrained MII from unit
-// counts and the recurrence-constrained MII estimate from short
-// dependence cycles. Exact backends may prove a larger minimum by
-// exhausting the IIs in between.
+// MinII returns the initiation interval both scheduler backends start
+// from: max(ResMII, RecMII). ResMII comes from unit counts. RecMII is
+// the exact recurrence bound, the smallest II at which the dependence
+// system alone is feasible (DepFeasible). Below it no schedule keeps
+// every edge, and tryII rejects any schedule that breaks one, so no II
+// below MinII can succeed.
+//
+// Feasibility is monotone in II: BuildDAG adds every distance-0 edge
+// forward in op order, so every cycle spans distance >= 1 and its
+// weight falls as II grows. MinII bisects between ResMII and an II
+// that is always feasible: the sum over ops of each op's largest
+// out-edge latency, which no simple cycle's latency exceeds.
 func MinII(d *DAG, m *machine.Desc) int {
-	mii := resMII(d, m)
-	if r := recMIIEstimate(d); r > mii {
-		mii = r
+	lo := resMII(d, m)
+	if DepFeasible(d, lo) {
+		return lo
 	}
-	return mii
+	hi := 0
+	for _, es := range d.Succs {
+		top := 0
+		for _, e := range es {
+			top = max(top, e.Lat)
+		}
+		hi += top
+	}
+	for hi-lo > 1 { // lo is infeasible, hi feasible
+		mid := lo + (hi-lo)/2
+		if DepFeasible(d, mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// DepFeasible reports whether the dependence system alone admits a
+// schedule at the given II: the constraints sigma(to) >= sigma(from) +
+// lat - II*dist form a difference system over flat times, feasible iff
+// the edge graph weighted lat - II*dist has no positive cycle
+// (Bellman-Ford longest paths).
+func DepFeasible(d *DAG, ii int) bool {
+	n := len(d.Ops)
+	s := make([]int, n)
+	for pass := 0; pass <= n; pass++ {
+		changed := false
+		for i, es := range d.Succs {
+			for _, e := range es {
+				if w := s[i] + e.Lat - ii*e.Dist; s[e.To] < w {
+					s[e.To] = w
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			return true
+		}
+	}
+	return false
 }
 
 // DefaultMaxII is the II search ceiling both backends use when the
@@ -66,8 +114,10 @@ func MinII(d *DAG, m *machine.Desc) int {
 func DefaultMaxII(n int) int { return 8*n + 64 }
 
 // ModuloSchedule attempts iterative modulo scheduling (Rau, MICRO-27)
-// of a counted-loop body DAG. ops must exclude the loop-back branch.
-// Returns nil when no schedule is found within the II/budget limits.
+// of a counted-loop body DAG at each II from MinII up to maxII. ops
+// must exclude the loop-back branch. Returns nil when no schedule is
+// found within the II/budget limits, which includes a MinII above
+// maxII.
 func ModuloSchedule(d *DAG, m *machine.Desc, maxII int) *KernelSchedule {
 	n := len(d.Ops)
 	if n == 0 {
@@ -109,44 +159,6 @@ func resMII(d *DAG, m *machine.Desc) int {
 	}
 	if mii < 1 {
 		mii = 1
-	}
-	return mii
-}
-
-// recMIIEstimate lower-bounds II from simple recurrence cycles
-// (length-1 and length-2 cycles; longer recurrences are discovered by
-// schedule failure and the II escalation loop).
-func recMIIEstimate(d *DAG) int {
-	mii := 1
-	for i := range d.Ops {
-		for _, e := range d.Succs[i] {
-			if e.To == i && e.Dist > 0 {
-				if v := (e.Lat + e.Dist - 1) / e.Dist; v > mii {
-					mii = v
-				}
-			}
-			if e.Dist == 0 {
-				continue
-			}
-		}
-	}
-	// Length-2 cycles.
-	for i := range d.Ops {
-		for _, e1 := range d.Succs[i] {
-			for _, e2 := range d.Succs[e1.To] {
-				if e2.To != i {
-					continue
-				}
-				dist := e1.Dist + e2.Dist
-				if dist == 0 {
-					continue
-				}
-				lat := e1.Lat + e2.Lat
-				if v := (lat + dist - 1) / dist; v > mii {
-					mii = v
-				}
-			}
-		}
 	}
 	return mii
 }

@@ -50,9 +50,10 @@ import (
 // IIs tried for that loop). It is deliberately deterministic — two
 // runs of the same compile expand the same nodes in the same order —
 // so schedules, proofs and fallbacks are reproducible facts the
-// sim-stat baselines can gate on. The exact MII lift (depFeasible)
-// resolves recurrence-bound loops with zero nodes, so the budget only
-// burns on resource/dependence-interplay proofs. 5000 nodes prove >90%
+// sim-stat baselines can gate on. The scan starts at sched.MinII,
+// whose exact recurrence bound resolves recurrence-bound loops with
+// zero nodes, so the budget only burns on resource/dependence-interplay
+// proofs. 5000 nodes prove >90%
 // of the benchmark suite's kernels (the bar the corpus test enforces);
 // the worst loop, an 80-op g724 kernel that exhausts the budget, takes
 // ~40 ms (BenchmarkExactSearch, ~8 µs per node on a 2-core Xeon).
@@ -139,14 +140,12 @@ func (s *Scheduler) ScheduleLoop(d *sched.DAG, m *machine.Desc, maxII int) *sche
 		return nil
 	}
 	heur := sched.ModuloSchedule(d, m, maxII)
+	// MinII includes the exact recurrence bound: an II whose
+	// dependence system alone has a positive cycle needs no search to
+	// rule out.
 	mii := sched.MinII(d, m)
 	if maxII <= 0 {
 		maxII = sched.DefaultMaxII(n)
-	}
-	// Lift MII to the true recurrence bound: an II whose dependence
-	// system alone has a positive cycle needs no search to rule out.
-	for mii <= maxII && !depFeasible(d, mii, n) {
-		mii++
 	}
 	// The heuristic schedule is an upper bound: only IIs strictly
 	// below it need searching. When the heuristic failed entirely, the

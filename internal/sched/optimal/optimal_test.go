@@ -143,14 +143,13 @@ func checkKernel(t *testing.T, d *sched.DAG, ks *sched.KernelSchedule) {
 // infeasible below II 3 and feasible from 3 up.
 func TestDepFeasible(t *testing.T) {
 	d := loopDAG(t, recurrenceLoop)
-	n := len(d.Ops)
 	for ii := 1; ii <= 2; ii++ {
-		if depFeasible(d, ii, n) {
+		if sched.DepFeasible(d, ii) {
 			t.Errorf("II %d reported dependence-feasible; the acc cycle forbids it", ii)
 		}
 	}
 	for ii := 3; ii <= 5; ii++ {
-		if !depFeasible(d, ii, n) {
+		if !sched.DepFeasible(d, ii) {
 			t.Errorf("II %d reported infeasible; the recurrence bound is 3", ii)
 		}
 	}
@@ -238,10 +237,10 @@ func TestBudgetExhaustedFallsBack(t *testing.T) {
 	}
 }
 
-// TestRecurrenceLiftAvoidsSearch checks the exact MII lift: on a loop
-// whose II is pinned by its recurrence alone, depFeasible raises the
-// scan floor to the true bound, and proving minimality costs zero (or
-// near-zero) search nodes even though the estimate-based MII is lower.
+// TestRecurrenceLiftAvoidsSearch checks the exact recurrence bound: on
+// a loop whose II is pinned by its recurrence alone, sched.MinII
+// starts the scan at the true bound, and proving minimality costs zero
+// (or near-zero) search nodes.
 func TestRecurrenceLiftAvoidsSearch(t *testing.T) {
 	d := loopDAG(t, recurrenceLoop)
 	m := machine.Default()

@@ -10,33 +10,6 @@ import (
 	"lpbuf/internal/sched"
 )
 
-// depFeasible decides whether the dependence system alone admits a
-// schedule at the given II: the constraints sigma(to) >= sigma(from) +
-// lat - II*dist form a difference system over flat times, feasible iff
-// the edge graph with weights lat - II*dist has no positive cycle
-// (Bellman-Ford longest paths). This is exact — no row/stage
-// decomposition needed — so scanning II upward until it holds yields
-// the true recurrence-constrained MII, not the 2-cycle estimate.
-func depFeasible(d *sched.DAG, ii, n int) bool {
-	s := make([]int, n)
-	for pass := 0; pass <= n; pass++ {
-		changed := false
-		for i := range d.Ops {
-			for _, e := range d.Succs[i] {
-				w := e.Lat - ii*e.Dist
-				if s[e.To] < s[i]+w {
-					s[e.To] = s[i] + w
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return true
-		}
-	}
-	return false
-}
-
 type status int
 
 const (

@@ -15,34 +15,12 @@ import (
 	"lpbuf/internal/verify/oracle"
 )
 
-// depFeasible decides whether the dependence system alone admits a
-// schedule at II: the edge graph weighted lat - II*dist must have no
-// positive cycle (Bellman-Ford longest paths).
-func depFeasible(d *sched.DAG, ii int) bool {
-	s := make([]int, len(d.Ops))
-	for pass := 0; pass <= len(d.Ops); pass++ {
-		changed := false
-		for i := range d.Ops {
-			for _, e := range d.Succs[i] {
-				if w := s[i] + e.Lat - ii*e.Dist; s[e.To] < w {
-					s[e.To] = w
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return true
-		}
-	}
-	return false
-}
-
 // recMII is the exact recurrence bound: the smallest II at which the
 // dependence system alone is feasible, so RecMII-1 is infeasible by
 // construction.
 func recMII(d *sched.DAG) int {
 	ii := 1
-	for !depFeasible(d, ii) {
+	for !sched.DepFeasible(d, ii) {
 		ii++
 	}
 	return ii
@@ -80,9 +58,10 @@ func cloopDAGs(prog *ir.Program, m *machine.Desc, label string) []cloopDAG {
 // exact recurrence bound: on every counted loop of the 22 transformed
 // benchmark programs and of the oracle corpus, the dependence system
 // is infeasible below RecMII and feasible from RecMII up to the
-// heuristic's II, tryII fails at every II in [ResMII, RecMII), and the
-// heuristic never settles below RecMII. Feasibility is monotone in II
-// because every dependence cycle spans distance >= 1.
+// heuristic's II, tryII fails at every II in [ResMII, RecMII), the
+// heuristic never settles below RecMII, and MinII's bisection lands
+// on max(ResMII, RecMII). Feasibility is monotone in II because every
+// dependence cycle spans distance >= 1.
 func TestSkippedIIsCannotSchedule(t *testing.T) {
 	m := machine.Default()
 	var loops []cloopDAG
@@ -121,8 +100,11 @@ func TestSkippedIIsCannotSchedule(t *testing.T) {
 	for _, l := range loops {
 		d := l.d
 		rec := recMII(d)
-		if rec > 1 && depFeasible(d, rec-1) {
+		if rec > 1 && sched.DepFeasible(d, rec-1) {
 			t.Errorf("%s: dependence system feasible at II %d, below RecMII %d", l.name, rec-1, rec)
+		}
+		if got, want := sched.MinII(d, m), max(sched.ResMII(d, m), rec); got != want {
+			t.Errorf("%s: MinII = %d, want max(ResMII, RecMII) = %d", l.name, got, want)
 		}
 		ks := sched.ModuloSchedule(d, m, 0)
 		top := rec
@@ -133,7 +115,7 @@ func TestSkippedIIsCannotSchedule(t *testing.T) {
 			top = ks.II
 		}
 		for ii := rec; ii <= top; ii++ {
-			if !depFeasible(d, ii) {
+			if !sched.DepFeasible(d, ii) {
 				t.Errorf("%s: dependence system infeasible at II %d, above RecMII %d", l.name, ii, rec)
 			}
 		}
@@ -177,17 +159,16 @@ func pointerChaseDAG(t *testing.T) *sched.DAG {
 }
 
 // TestThreeOpRecurrenceSchedulesAtNine pins the heuristic's schedule
-// of a recurrence no 1- or 2-op cycle reveals: II 9, the three loads
-// back to back at their latency.
+// of a recurrence no 1- or 2-op cycle reveals: MinII 9, and at II 9 the
+// three loads back to back at their latency.
 func TestThreeOpRecurrenceSchedulesAtNine(t *testing.T) {
 	d := pointerChaseDAG(t)
 	m := machine.Default()
 	if rec := recMII(d); rec != 9 {
 		t.Fatalf("RecMII = %d, want 9", rec)
 	}
-	// The estimate sees only 1- and 2-op cycles.
-	if got := sched.MinII(d, m); got != 1 {
-		t.Errorf("MinII = %d, want the estimate 1", got)
+	if got := sched.MinII(d, m); got != 9 {
+		t.Errorf("MinII = %d, want RecMII 9", got)
 	}
 	ks := sched.ModuloSchedule(d, m, 0)
 	if ks == nil {
