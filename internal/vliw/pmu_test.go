@@ -161,7 +161,7 @@ func TestDisabledPMUZeroAlloc(t *testing.T) {
 	run := func(trips int64) float64 {
 		prog := loopProgram(trips)
 		code, plan := compile(t, prog, 256, false)
-		return testing.AllocsPerRun(5, func() {
+		return minAllocs(func() {
 			if _, err := vliw.Run(code, plan, vliw.Options{}); err != nil {
 				t.Fatal(err)
 			}
