@@ -22,8 +22,9 @@ race:
 	$(GO) test -race ./...
 
 # bench regenerates BENCH_simulator.json (schema lpbuf/bench/v2): the
-# Figure 7 benchmarks plus the simulator throughput benches
-# (SimulatorThroughput, SimsPerSec and its PMU-sampling twin), each
+# Figure 7 benchmarks, the simulator throughput benches
+# (SimulatorThroughput, SimsPerSec and its PMU-sampling twin) and the
+# per-layer Interp and ModuloHeuristic benches, each
 # sampled in BENCH_COUNT fresh processes so in-process caches cannot
 # flatter the numbers and benchdiff gets real per-metric variance.
 bench:
@@ -32,7 +33,7 @@ bench:
 # bench-headline additionally covers every paper figure (slower).
 bench-headline:
 	$(GO) run ./cmd/benchjson -benchtime 1x -count $(BENCH_COUNT) -out BENCH_simulator.json \
-		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU,BenchmarkInterp'
+		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU,BenchmarkInterp,BenchmarkModuloHeuristic'
 
 # bench-pair benchmarks BASE (default HEAD~1) in a detached worktree
 # and then the current tree, writing bench-old.json and bench-new.json.

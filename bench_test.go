@@ -19,8 +19,10 @@ import (
 	"lpbuf/internal/experiments"
 	"lpbuf/internal/interp"
 	"lpbuf/internal/ir"
+	"lpbuf/internal/machine"
 	"lpbuf/internal/obs/pmu"
 	"lpbuf/internal/profile"
+	"lpbuf/internal/sched"
 	"lpbuf/internal/vliw"
 )
 
@@ -242,6 +244,56 @@ func BenchmarkInterp(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*int64(b.N)), "ns/ir-op")
 	b.ReportMetric(float64(ops), "ir-ops/run")
+}
+
+// BenchmarkModuloHeuristic measures heuristic modulo scheduling as
+// compiles use it: each iteration schedules, with modulo on, a clone of
+// the transformed IR of the 11 Table 1 programs in both configs. The
+// 22 compiles and the clones stay outside the timer. It reports ns per
+// pipelined kernel and the kernels of one iteration, a deterministic
+// count.
+func BenchmarkModuloHeuristic(b *testing.B) {
+	var progs []*ir.Program
+	for _, bm := range suite.All() {
+		prog := bm.Build()
+		ref := sync.OnceValues(func() (*core.Reference, error) {
+			return core.RunReference(prog, core.Config{})
+		})
+		for _, cfg := range []core.Config{core.Traditional(256), core.Aggressive(256)} {
+			c, err := core.CompileWithReference(prog, cfg, ref)
+			if err != nil {
+				b.Fatal(err)
+			}
+			progs = append(progs, c.TransformedIR)
+		}
+	}
+	m := machine.Default()
+	clones := make([]*ir.Program, len(progs))
+	kernels := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, p := range progs {
+			clones[j] = p.Clone()
+		}
+		kernels = 0
+		b.StartTimer()
+		for _, p := range clones {
+			code, err := sched.Schedule(p, m, sched.Options{EnableModulo: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, fc := range code.Funcs {
+				for _, sec := range fc.Sections {
+					if sec.Kind == sched.KindKernel {
+						kernels++
+					}
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(kernels*b.N), "ns/kernel")
+	b.ReportMetric(float64(kernels), "kernels/run")
 }
 
 // sweepsPerIter is how many full buffer sweeps one b.N iteration of

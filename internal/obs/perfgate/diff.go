@@ -46,8 +46,10 @@ func DefaultPolicies() map[string]Policy {
 		// better.
 		"sims/sec": {Tol: 0.10, Dir: HigherIsBetter},
 		// ns/ir-op is BenchmarkInterp's wall clock per interpreted IR
-		// op: a noise band like ns/op's.
-		"ns/ir-op": {Tol: 0.05, Dir: LowerIsBetter},
+		// op, and ns/kernel BenchmarkModuloHeuristic's per pipelined
+		// kernel: noise bands like ns/op's.
+		"ns/ir-op":  {Tol: 0.05, Dir: LowerIsBetter},
+		"ns/kernel": {Tol: 0.05, Dir: LowerIsBetter},
 	}
 }
 
@@ -68,9 +70,10 @@ var ratioPolicies = []struct {
 // then the defaults table, then the deterministic-exact fallback for
 // custom b.ReportMetric units. Every custom unit this repo emits that
 // is not in the defaults table — %buffer@N, sim-ops/run, ir-ops/run,
-// avg-speedup — is a deterministic fact of the program, so unknown
-// units default to exact two-sided; wall-clock-derived units (sims/sec,
-// ns/ir-op) must instead be listed above with a noise band.
+// kernels/run, avg-speedup — is a deterministic fact of the program, so
+// unknown units default to exact two-sided; wall-clock-derived units
+// (sims/sec, ns/ir-op, ns/kernel) must instead be listed above with a
+// noise band.
 func policyFor(name string, overrides map[string]Policy) Policy {
 	if p, ok := overrides[name]; ok {
 		return p

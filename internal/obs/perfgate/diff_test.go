@@ -168,6 +168,36 @@ func TestDeterministicMetricDrift(t *testing.T) {
 	}
 }
 
+// TestModuloHeuristicBands: BenchmarkModuloHeuristic's ns/kernel is
+// wall clock, lower is better, inside a 5% noise band, while its
+// kernels/run is a deterministic count that may not drift either way.
+func TestModuloHeuristicBands(t *testing.T) {
+	old := artifact(map[string]map[string][]float64{
+		"ModuloHeuristic": {"ns/kernel": {5.0e5, 5.1e5, 4.9e5, 5.0e5, 5.2e5}, "kernels/run": {106}},
+	})
+	cases := []struct {
+		name    string
+		ns      []float64
+		kernels float64
+		metric  string
+		want    Verdict
+	}{
+		{"ns/kernel +2%", []float64{5.1e5, 5.2e5, 5.0e5, 5.1e5, 5.3e5}, 106, "ns/kernel", VerdictOK},
+		{"ns/kernel +20%", []float64{6.0e5, 6.1e5, 5.9e5, 6.0e5, 6.2e5}, 106, "ns/kernel", VerdictRegression},
+		{"ns/kernel -80%", []float64{1.0e5, 1.1e5, 0.9e5, 1.0e5, 1.2e5}, 106, "ns/kernel", VerdictImprovement},
+		{"kernels/run 106 -> 105", []float64{5.0e5, 5.1e5, 4.9e5, 5.0e5, 5.2e5}, 105, "kernels/run", VerdictRegression},
+		{"kernels/run 106 -> 107", []float64{5.0e5, 5.1e5, 4.9e5, 5.0e5, 5.2e5}, 107, "kernels/run", VerdictRegression},
+	}
+	for _, c := range cases {
+		cur := artifact(map[string]map[string][]float64{
+			"ModuloHeuristic": {"ns/kernel": c.ns, "kernels/run": {c.kernels}},
+		})
+		if row := findRow(t, Compare(old, cur, Options{}), "ModuloHeuristic", c.metric); row.Verdict != c.want {
+			t.Errorf("%s: verdict = %s (delta %+.3f, p=%v), want %s", c.name, row.Verdict, row.Delta, row.P, c.want)
+		}
+	}
+}
+
 // TestImprovementDoesNotFail: a significant speedup is reported but
 // does not trip the gate.
 func TestImprovementDoesNotFail(t *testing.T) {
