@@ -11,6 +11,7 @@ import (
 	"lpbuf/internal/ir/irbuild"
 	"lpbuf/internal/machine"
 	"lpbuf/internal/sched"
+	"lpbuf/internal/sched/optimal"
 	"lpbuf/internal/verify/gen"
 	"lpbuf/internal/verify/oracle"
 )
@@ -170,14 +171,25 @@ func TestThreeOpRecurrenceSchedulesAtNine(t *testing.T) {
 	if got := sched.MinII(d, m); got != 9 {
 		t.Errorf("MinII = %d, want RecMII 9", got)
 	}
-	ks := sched.ModuloSchedule(d, m, 0)
-	if ks == nil {
-		t.Fatal("no schedule")
+	if ks := sched.ModuloSchedule(d, m, 8); ks != nil {
+		t.Errorf("maxII 8 below RecMII scheduled at II %d", ks.II)
 	}
-	got := fmt.Sprintf("II %d stages %d sigma %v slot %v branch %d",
-		ks.II, ks.Stages, ks.Sigma, ks.Slot, ks.BranchSlot)
 	const want = "II 9 stages 1 sigma [0 3 6] slot [2 2 2] branch 5"
-	if got != want {
-		t.Errorf("schedule = %s, want %s", got, want)
+	for _, maxII := range []int{0, 9} {
+		ks := sched.ModuloSchedule(d, m, maxII)
+		if ks == nil {
+			t.Fatalf("maxII %d: no schedule", maxII)
+		}
+		got := fmt.Sprintf("II %d stages %d sigma %v slot %v branch %d",
+			ks.II, ks.Stages, ks.Sigma, ks.Slot, ks.BranchSlot)
+		if got != want {
+			t.Errorf("maxII %d: schedule = %s, want %s", maxII, got, want)
+		}
+	}
+	// The exact backend takes the heuristic's II 9 as proven without
+	// searching: no II below MinII is left to rule out.
+	ks := optimal.New(optimal.Options{}).ScheduleLoop(d, m, 0)
+	if ks == nil || ks.II != 9 || !ks.Proven || ks.Nodes != 0 {
+		t.Errorf("exact backend = %+v, want II 9 proven with 0 nodes", ks)
 	}
 }
