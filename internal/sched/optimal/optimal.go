@@ -53,10 +53,10 @@ import (
 // sim-stat baselines can gate on. The scan starts at sched.MinII,
 // whose exact recurrence bound resolves recurrence-bound loops with
 // zero nodes, so the budget only burns on resource/dependence-interplay
-// proofs. 5000 nodes prove >90%
-// of the benchmark suite's kernels (the bar the corpus test enforces);
-// the worst loop, an 80-op g724 kernel that exhausts the budget, takes
-// ~40 ms (BenchmarkExactSearch, ~8 µs per node on a 2-core Xeon).
+// proofs. 5000 nodes prove >90% of the benchmark suite's kernels (the
+// bar the corpus test enforces); the worst loop, an 80-op g724 kernel
+// that exhausts the budget, takes ~40 ms (BenchmarkExactSearch, ~8 µs
+// per node on a 2-core Xeon).
 const DefaultNodeBudget = 5000
 
 // maxSearchII caps the II the exact solver will attempt (row domains
