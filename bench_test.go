@@ -23,7 +23,6 @@ import (
 	"lpbuf/internal/obs/pmu"
 	"lpbuf/internal/profile"
 	"lpbuf/internal/sched"
-	"lpbuf/internal/vliw"
 )
 
 // shared suite so compiled benchmarks are reused across benches.
@@ -257,7 +256,7 @@ func BenchmarkModuloHeuristic(b *testing.B) {
 	for _, bm := range suite.All() {
 		prog := bm.Build()
 		ref := sync.OnceValues(func() (*core.Reference, error) {
-			return core.RunReference(prog, core.Config{})
+			return core.RunReference(prog)
 		})
 		for _, cfg := range []core.Config{core.Traditional(256), core.Aggressive(256)} {
 			c, err := core.CompileWithReference(prog, cfg, ref)
@@ -324,11 +323,10 @@ func BenchmarkSimsPerSec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := vliw.NewEngine()
 	b.ResetTimer()
 	sims := 0
 	for i := 0; i < b.N*sweepsPerIter; i++ {
-		results, err := c.RunSweep(experiments.BufferSizes, engine)
+		results, err := c.RunSweep(experiments.BufferSizes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -354,12 +352,11 @@ func BenchmarkSimsPerSecPMU(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := vliw.NewEngine()
 	b.ResetTimer()
 	sims := 0
 	samples := int64(0)
 	for i := 0; i < b.N*sweepsPerIter; i++ {
-		results, err := c.RunSweep(experiments.BufferSizes, engine)
+		results, err := c.RunSweep(experiments.BufferSizes)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,12 +12,13 @@
 // -bench is a comma-separated list of process groups; each group is a
 // benchmark-name alternation run in a fresh `go test` process, and
 // -count N runs every group in N fresh processes (one sample each).
-// Fresh processes keep in-process caches (compile memoization, decoded
-// images) from flattering repeat numbers — each sample measures cold
-// first-run work — while grouping the two Figure 7 benches together
-// preserves the shared-suite amortization (one benchmark-registry
-// build, per-config compiles) that a real `go test -bench
-// BenchmarkFigure7` run gets. This is the same methodology the
+// Fresh processes keep the suite's compile memoization from flattering
+// repeat numbers, so each sample measures cold first-run work. Decoded
+// images no longer need them: an image lives with its compile, and the
+// simulator keeps nothing across compiles. Grouping the two Figure 7
+// benches together preserves the shared-suite amortization (one
+// benchmark-registry build, per-config compiles) that a real `go test
+// -bench BenchmarkFigure7` run gets. This is the same methodology the
 // recorded baselines used.
 package main
 

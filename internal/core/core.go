@@ -61,10 +61,6 @@ type Config struct {
 	// every exact schedule must pass the verifier checkpoints before its
 	// stats are trusted.
 	SchedBackend string
-	// SchedNodeBudget overrides the optimal backend's per-loop search
-	// node budget (<=0 uses the backend default). The budget is
-	// deterministic, so proofs and fallbacks reproduce across runs.
-	SchedNodeBudget int64
 	// BufferCapacity is the loop buffer size in operations.
 	BufferCapacity int
 	// Obs, when non-nil, receives compile-phase spans (with IR-size
@@ -83,10 +79,6 @@ type Config struct {
 	TraceLabel string
 	// Machine overrides the default machine description.
 	Machine *machine.Desc
-	// EntryArgs are passed to the program entry on every run.
-	EntryArgs []int64
-	// MaxOps bounds interpreter steps while profiling.
-	MaxOps int64
 }
 
 // Traditional returns the paper's baseline configuration: classical
@@ -108,20 +100,18 @@ func Aggressive(bufferOps int) Config {
 }
 
 // Reference is the interpretation of an original program: its result
-// and the profile the profile-guided passes start from. It depends only
-// on the program, EntryArgs and MaxOps, not on the rest of the config,
-// so compiles of one program under several configs can share one.
-// Compiles only read it.
+// and the profile the profile-guided passes start from. It depends on
+// the program alone, not on the config, so compiles of one program
+// under several configs can share one. Compiles only read it.
 type Reference struct {
 	Result *interp.Result
 	Prof   *profile.Profile
 }
 
-// RunReference interprets prog with cfg's EntryArgs and MaxOps.
-func RunReference(prog *ir.Program, cfg Config) (*Reference, error) {
+// RunReference interprets prog, profiling it.
+func RunReference(prog *ir.Program) (*Reference, error) {
 	prof := profile.New()
-	res, err := interp.Run(prog, interp.Options{Profile: prof,
-		EntryArgs: cfg.EntryArgs, MaxOps: cfg.MaxOps})
+	res, err := interp.Run(prog, interp.Options{Profile: prof})
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +168,7 @@ type PassStats struct {
 // Compile runs the full pipeline on (a clone of) prog.
 func Compile(prog *ir.Program, cfg Config) (*Compiled, error) {
 	return CompileWithReference(prog, cfg, func() (*Reference, error) {
-		return RunReference(prog, cfg)
+		return RunReference(prog)
 	})
 }
 
@@ -201,7 +191,7 @@ func CompileWithReference(prog *ir.Program, cfg Config, ref func() (*Reference, 
 	switch cfg.SchedBackend {
 	case "", "heuristic":
 	case "optimal":
-		exact = optimal.New(optimal.Options{NodeBudget: cfg.SchedNodeBudget, Obs: cfg.Obs})
+		exact = optimal.New(optimal.Options{Obs: cfg.Obs})
 		cfg.Verify = true
 	default:
 		return nil, fmt.Errorf("%s: unknown scheduler backend %q", cfg.Name, cfg.SchedBackend)
@@ -349,8 +339,7 @@ func CompileWithReference(prog *ir.Program, cfg Config, ref func() (*Reference, 
 	// the reference behaviour (execution-verified transformations).
 	sp = root.Child("re-profile")
 	prof1 := profile.New()
-	tres, err := interp.Run(p, interp.Options{Profile: prof1,
-		EntryArgs: cfg.EntryArgs, MaxOps: cfg.MaxOps})
+	tres, err := interp.Run(p, interp.Options{Profile: prof1})
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: transformed program run: %w", cfg.Name, err)
@@ -431,9 +420,8 @@ func (c *Compiled) RunWithBuffer(capacity int) (*vliw.Result, error) {
 // costs one simulation instead of len(capacities). Results come back
 // in capacity order. Sweeps always run in folded-stats mode — Stats
 // are exact, per-cycle event emission is skipped (sweep consumers read
-// Stats, not rings). engine may be nil; when set, per-sim scratch is
-// pooled across calls.
-func (c *Compiled) RunSweep(capacities []int, engine *vliw.Engine) ([]*vliw.Result, error) {
+// Stats, not rings).
+func (c *Compiled) RunSweep(capacities []int) ([]*vliw.Result, error) {
 	plans := make([]*vliw.BufferPlan, len(capacities))
 	var labels []string
 	if c.Config.Obs != nil || c.Config.PMU != nil {
@@ -451,8 +439,7 @@ func (c *Compiled) RunSweep(capacities []int, engine *vliw.Engine) ([]*vliw.Resu
 		}
 	}
 	results, err := vliw.RunBatch(c.Code, plans, vliw.BatchOptions{
-		Options: vliw.Options{EntryArgs: c.Config.EntryArgs,
-			Obs: c.Config.Obs, Engine: engine, PMU: c.Config.PMU},
+		Options:         vliw.Options{Obs: c.Config.Obs, PMU: c.Config.PMU},
 		Labels:          labels,
 		FoldedStatsOnly: true,
 	})
@@ -483,8 +470,8 @@ func (c *Compiled) runPlan(plan *vliw.BufferPlan) (*vliw.Result, error) {
 	if c.Config.Obs != nil || c.Config.PMU != nil {
 		label = fmt.Sprintf("%s/%s@%d", c.Config.TraceLabel, c.Config.Name, plan.Capacity)
 	}
-	res, err := vliw.Run(c.Code, plan, vliw.Options{EntryArgs: c.Config.EntryArgs,
-		Obs: c.Config.Obs, TraceLabel: label, PMU: c.Config.PMU})
+	res, err := vliw.Run(c.Code, plan, vliw.Options{Obs: c.Config.Obs,
+		TraceLabel: label, PMU: c.Config.PMU})
 	if err != nil {
 		return nil, fmt.Errorf("%s: simulation: %w", c.Config.Name, err)
 	}

@@ -38,11 +38,6 @@ var BufferSizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048}
 // A long-running service hands every job's Suite the same Cache, which
 // is what makes repeated and overlapping jobs cheap.
 type Cache struct {
-	// engine pools per-simulation scratch (activation frames, event
-	// batch buffers) across every batched sweep that runs through this
-	// Cache — in lpbufd, that is every job in the process.
-	engine *vliw.Engine
-
 	compiles memo[string, *core.Compiled]
 	runs     memo[string, *Run]
 	// sweeps shares one batched simulation among concurrent identical
@@ -50,14 +45,13 @@ type Cache struct {
 	sweeps memo[string, []*Run]
 	// refs holds one reference run per benchmark, shared read-only by
 	// every config's compile. It is keyed by benchmark name alone: the
-	// reference depends only on the program, EntryArgs and MaxOps, and
-	// the suite never sets EntryArgs or MaxOps.
+	// reference depends on the program alone.
 	refs memo[string, *core.Reference]
 }
 
 // NewCache creates an empty compile/run cache.
 func NewCache() *Cache {
-	return &Cache{engine: vliw.NewEngine()}
+	return &Cache{}
 }
 
 // Suite caches compiled benchmarks and verified simulation results
@@ -239,7 +233,7 @@ func (s *Suite) compiled(name, cfg string) (*core.Compiled, bench.Benchmark, err
 func (s *Suite) compileShared(name string, prog *ir.Program, config core.Config) (*core.Compiled, error) {
 	return core.CompileWithReference(prog, config, func() (*core.Reference, error) {
 		r, _, err := s.cc.refs.get(name, func() (*core.Reference, error) {
-			return core.RunReference(prog, config)
+			return core.RunReference(prog)
 		})
 		return r, err
 	})
@@ -349,7 +343,7 @@ func (s *Suite) sweep(name, cfg string, sizes []int) ([]*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := s.simulating(c).RunSweep(sizes, s.cc.engine)
+	results, err := s.simulating(c).RunSweep(sizes)
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func TestReferenceRunShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo, err := u.RunSweep(BufferSizes, nil)
+		solo, err := u.RunSweep(BufferSizes)
 		if err != nil {
 			t.Fatal(err)
 		}

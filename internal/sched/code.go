@@ -135,9 +135,6 @@ type Code struct {
 	Prog  *ir.Program
 	Funcs map[string]*FuncCode
 	Mach  *machine.Desc
-
-	// hash caches ContentHash (see hash.go).
-	hash atomic.Value
 }
 
 // Validate checks structural invariants of the schedule: slot classes

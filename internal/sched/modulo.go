@@ -119,11 +119,17 @@ func DefaultMaxII(n int) int { return 8*n + 64 }
 // found within the II/budget limits, which includes a MinII above
 // maxII.
 func ModuloSchedule(d *DAG, m *machine.Desc, maxII int) *KernelSchedule {
+	return ModuloScheduleFrom(d, m, MinII(d, m), maxII)
+}
+
+// ModuloScheduleFrom is ModuloSchedule with the scan starting at mii,
+// which must be MinII(d, m): callers that already computed it for
+// their own search pass it instead of paying the bisection again.
+func ModuloScheduleFrom(d *DAG, m *machine.Desc, mii, maxII int) *KernelSchedule {
 	n := len(d.Ops)
 	if n == 0 {
 		return nil
 	}
-	mii := MinII(d, m)
 	if maxII <= 0 {
 		maxII = DefaultMaxII(n)
 	}

@@ -139,11 +139,11 @@ func (s *Scheduler) ScheduleLoop(d *sched.DAG, m *machine.Desc, maxII int) *sche
 	if n == 0 {
 		return nil
 	}
-	heur := sched.ModuloSchedule(d, m, maxII)
 	// MinII includes the exact recurrence bound: an II whose
 	// dependence system alone has a positive cycle needs no search to
-	// rule out.
+	// rule out. The heuristic scan starts there too.
 	mii := sched.MinII(d, m)
+	heur := sched.ModuloScheduleFrom(d, m, mii, maxII)
 	if maxII <= 0 {
 		maxII = sched.DefaultMaxII(n)
 	}

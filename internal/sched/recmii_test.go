@@ -69,7 +69,7 @@ func TestSkippedIIsCannotSchedule(t *testing.T) {
 	for _, bm := range suite.All() {
 		prog := bm.Build()
 		ref := sync.OnceValues(func() (*core.Reference, error) {
-			return core.RunReference(prog, core.Config{})
+			return core.RunReference(prog)
 		})
 		for _, cfg := range []core.Config{core.Traditional(256), core.Aggressive(256)} {
 			c, err := core.CompileWithReference(prog, cfg, ref)

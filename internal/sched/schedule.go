@@ -12,8 +12,6 @@ import (
 type Options struct {
 	// EnableModulo turns on software pipelining of counted loops.
 	EnableModulo bool
-	// MaxII bounds the initiation-interval search (0 = auto).
-	MaxII int
 	// Backend selects the modulo-scheduler backend for pipelined
 	// kernels; nil uses the heuristic IMS backend (ModuloSchedule).
 	Backend ModuloScheduler
@@ -222,7 +220,7 @@ func tryModuloBlock(prog *ir.Program, f *ir.Func, b *ir.Block, m *machine.Desc,
 	if backend == nil {
 		backend = Heuristic()
 	}
-	ks := backend.ScheduleLoop(d, m, opts.MaxII)
+	ks := backend.ScheduleLoop(d, m, 0)
 	if ks == nil || int64(ks.Stages) > trips {
 		return nil
 	}

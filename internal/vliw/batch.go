@@ -2,9 +2,7 @@ package vliw
 
 import (
 	"fmt"
-	"sync"
 
-	"lpbuf/internal/obs"
 	"lpbuf/internal/obs/pmu"
 	"lpbuf/internal/sched"
 )
@@ -59,10 +57,11 @@ func RunBatch(code *sched.Code, plans []*BufferPlan, opts BatchOptions) ([]*Resu
 		return nil, fmt.Errorf("vliw: latency table needs a %d-slot writeback wheel (max %d)", w, wheelSlots)
 	}
 	s := &sim{
-		code: code,
-		mem:  make([]byte, code.Prog.MemSize),
-		opts: opts.Options,
-		fctx: map[*sched.FuncCode]*funcCtx{},
+		code:      code,
+		mem:       make([]byte, code.Prog.MemSize),
+		opts:      opts.Options,
+		fctx:      map[*sched.FuncCode]*funcCtx{},
+		framePool: map[*sched.FuncCode][]*frame{},
 	}
 	if s.opts.MaxCycles == 0 {
 		s.opts.MaxCycles = 4e9
@@ -99,14 +98,6 @@ func RunBatch(code *sched.Code, plans []*BufferPlan, opts BatchOptions) ([]*Resu
 	}
 	s.fromBuf = make([]bool, len(plans))
 	s.lss = make([]*LoopStats, len(plans))
-	var ar *arena
-	if opts.Engine != nil {
-		ar = opts.Engine.checkout()
-		s.framePool = ar.framePool
-		s.evScratch = ar.evScratch
-	} else {
-		s.framePool = map[*sched.FuncCode][]*frame{}
-	}
 	for _, g := range code.Prog.Globals {
 		copy(s.mem[g.Offset:g.Offset+g.Size], g.Init)
 	}
@@ -115,12 +106,6 @@ func RunBatch(code *sched.Code, plans []*BufferPlan, opts BatchOptions) ([]*Resu
 		return nil, fmt.Errorf("vliw: no entry function %q", code.Prog.Entry)
 	}
 	ret, err := s.run(entry)
-	if ar != nil {
-		// Hand the (possibly grown) scratch back even on error; the
-		// memory image is NOT pooled — Result.Mem escapes to callers.
-		ar.evScratch = s.evScratch
-		opts.Engine.checkin(ar)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -146,57 +131,4 @@ func RunBatch(code *sched.Code, plans []*BufferPlan, opts BatchOptions) ([]*Resu
 		results[i] = &Result{Mem: s.mem, Ret: ret, Stats: a.stats, Profile: a.prof}
 	}
 	return results, nil
-}
-
-// Engine pools per-sim scratch across runs: activation frames (keyed
-// by callee) and the event-batch buffer. One Engine can back any
-// number of concurrent RunBatch calls — each checks an arena out for
-// the duration of its run — so a resident service shares warmed-up
-// scratch across jobs process-wide. The memory image is deliberately
-// not pooled: Result.Mem escapes to callers after the arena is checked
-// back in.
-type Engine struct {
-	mu     sync.Mutex
-	arenas []*arena
-}
-
-// NewEngine returns an empty engine; arenas materialize on demand.
-func NewEngine() *Engine { return &Engine{} }
-
-// arena is one simulation's reusable scratch.
-type arena struct {
-	framePool map[*sched.FuncCode][]*frame
-	evScratch []obs.SimEvent
-}
-
-const (
-	// maxArenas bounds how many idle arenas an engine retains (the
-	// steady-state need is the peak number of concurrent sims).
-	maxArenas = 16
-	// maxArenaFuncs bounds one arena's frame pool across codes; past it
-	// the pool is dropped wholesale rather than curated (frames are
-	// cheap to rebuild, stale *FuncCode keys would pin dead schedules).
-	maxArenaFuncs = 128
-)
-
-func (e *Engine) checkout() *arena {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := len(e.arenas); n > 0 {
-		a := e.arenas[n-1]
-		e.arenas = e.arenas[:n-1]
-		return a
-	}
-	return &arena{framePool: map[*sched.FuncCode][]*frame{}}
-}
-
-func (e *Engine) checkin(a *arena) {
-	if len(a.framePool) > maxArenaFuncs {
-		a.framePool = map[*sched.FuncCode][]*frame{}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.arenas) < maxArenas {
-		e.arenas = append(e.arenas, a)
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"lpbuf/internal/ir"
 	"lpbuf/internal/machine"
 	"lpbuf/internal/obs"
 	"lpbuf/internal/sched"
@@ -150,35 +151,71 @@ func TestBatchFoldedStatsOnly(t *testing.T) {
 	}
 }
 
-// TestBatchSharedDecode pins the content-hash decode cache: two
-// schedules built from identical programs are distinct allocations but
-// hash equal, so they share one decoded image per function.
-func TestBatchSharedDecode(t *testing.T) {
+// TestDecodedImageBelongsToItsCode pins that a decoded image lives
+// with its compile. Two allocations of one schedule each get their own
+// image, whose function, ops and call callees all belong to that Code;
+// two simulations of one Code reuse one image.
+func TestDecodedImageBelongsToItsCode(t *testing.T) {
 	mk := func() *sched.Code {
-		code, err := sched.Schedule(kernelLoopProgram(50), machine.Default(), sched.Options{EnableModulo: true})
+		code, err := sched.Schedule(callProgram(), machine.Default(), sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return code
 	}
+	images := func(code *sched.Code) map[string]*decodedFunc {
+		t.Helper()
+		if _, err := Run(code, nil, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]*decodedFunc{}
+		for name, fc := range code.Funcs {
+			if df, _ := fc.DecodedImage().(*decodedFunc); df != nil {
+				out[name] = df
+			} else {
+				t.Errorf("%s: not decoded after a run", name)
+			}
+		}
+		return out
+	}
 	a, b := mk(), mk()
-	if a == b || a.Funcs["main"] == b.Funcs["main"] {
-		t.Fatal("expected distinct allocations")
+	for _, code := range []*sched.Code{a, b} {
+		calls := 0
+		for name, df := range images(code) {
+			fc := code.Funcs[name]
+			if df.fc != fc {
+				t.Errorf("%s: image decoded from another Code's function", name)
+			}
+			for i, db := range df.bundles {
+				for j := range db.ops {
+					d := &db.ops[j]
+					if d.op != fc.Bundles[i].Ops[j].Op {
+						t.Fatalf("%s bundle %d: op %d is another Code's op", name, i, j)
+					}
+					if d.Kind == ir.KindCall {
+						calls++
+						if d.callee != code.Funcs[d.op.Callee] {
+							t.Errorf("%s bundle %d: callee belongs to another Code", name, i)
+						}
+					}
+				}
+			}
+		}
+		if calls == 0 {
+			t.Fatal("no decoded call (test would be vacuous)")
+		}
 	}
-	if a.ContentHash() != b.ContentHash() {
-		t.Fatal("identical schedules hash differently")
-	}
-	dfa := decodedOf(a, a.Funcs["main"])
-	dfb := decodedOf(b, b.Funcs["main"])
-	if dfa != dfb {
-		t.Fatal("identical schedules did not share a decoded image")
+	first, again := images(a), images(a)
+	for name, df := range first {
+		if again[name] != df {
+			t.Errorf("%s: second simulation of one Code decoded again", name)
+		}
 	}
 }
 
-// TestBatchStressShared is the -race stress test: N concurrent batched
-// sims over two content-identical codes sharing one Engine (arena
-// pool) and, through the hash cache, one decoded image. Every run must
-// produce the same answer.
+// TestBatchStressShared is the -race stress test: 8 goroutines run
+// batched sims concurrently over two shared Codes, so decoders race on
+// each FuncCode's image. Every run must produce the same answer.
 func TestBatchStressShared(t *testing.T) {
 	codes := make([]*sched.Code, 2)
 	for i := range codes {
@@ -188,15 +225,6 @@ func TestBatchStressShared(t *testing.T) {
 		}
 		codes[i] = code
 	}
-	// A second allocation of the same schedule exercises concurrent
-	// hash-cache sharing.
-	dup, err := sched.Schedule(kernelLoopProgram(120), machine.Default(), sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	codes = append(codes, dup)
-
-	engine := NewEngine()
 	var want int64
 	for i := 0; i < 120; i++ {
 		want += int64(3*i-11) * 5
@@ -210,10 +238,7 @@ func TestBatchStressShared(t *testing.T) {
 			for it := 0; it < 4; it++ {
 				code := codes[(g+it)%len(codes)]
 				plans := []*BufferPlan{planSections(code, 256), planSections(code, 64), nil}
-				res, err := RunBatch(code, plans, BatchOptions{
-					Options:         Options{Engine: engine},
-					FoldedStatsOnly: true,
-				})
+				res, err := RunBatch(code, plans, BatchOptions{FoldedStatsOnly: true})
 				if err != nil {
 					errs <- err
 					return

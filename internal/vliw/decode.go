@@ -67,24 +67,18 @@ type decodedFunc struct {
 }
 
 // decodedOf returns the function's cached decode, building it on first
-// use. Safe for concurrent simulations sharing one *sched.Code. A miss
-// on the FuncCode's own image falls through to the process-wide
-// content-hash cache (decodecache.go), so the same benchmark
-// recompiled under a different Suite config — byte-identical schedule,
-// distinct allocation — shares one decode instead of rebuilding it.
+// use. Safe for concurrent simulations sharing one *sched.Code. The
+// image lives with its compile: nothing is shared across *sched.Code
+// allocations, so every pointer in it (fc, callees, ops) belongs to
+// code.
 func decodedOf(code *sched.Code, fc *sched.FuncCode) *decodedFunc {
 	if v := fc.DecodedImage(); v != nil {
 		if df, ok := v.(*decodedFunc); ok {
 			return df
 		}
 	}
-	if df := lookupDecoded(code, fc.F.Name); df != nil {
-		fc.SetDecodedImage(df)
-		return df
-	}
 	df := decodeFunc(code, fc)
 	fc.SetDecodedImage(df)
-	storeDecoded(code, fc.F.Name, df)
 	return df
 }
 

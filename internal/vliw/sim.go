@@ -75,7 +75,6 @@ type Result struct {
 
 // Options configure a run.
 type Options struct {
-	EntryArgs []int64
 	// MaxCycles bounds the run (0 = 4e9).
 	MaxCycles int64
 	// MaxDepth bounds call depth (0 = 256).
@@ -94,10 +93,6 @@ type Options struct {
 	// differential tests and the oracle's fast-vs-interpretive contract
 	// pin that — so this exists only as their reference path.
 	NoFastPath bool
-	// Engine, when non-nil, supplies pooled per-sim scratch (activation
-	// frames, event buffers) shared across runs; see batch.go. Nil runs
-	// allocate their own.
-	Engine *Engine
 	// PMU enables the sampling performance-monitoring unit: a
 	// deterministic jittered clock fires on the issue clock and each
 	// firing attributes one sample per account to (func, loop,
@@ -565,11 +560,6 @@ func (s *sim) writePred(f *frame, p ir.PredReg, v bool, lat int64) {
 // run executes one function invocation (recursively via Go for calls).
 func (s *sim) run(fc *sched.FuncCode) (int64, error) {
 	f := s.getFrame(fc)
-	for i, p := range fc.F.Params {
-		if i < len(s.opts.EntryArgs) {
-			f.regs[p] = ir.W32(s.opts.EntryArgs[i])
-		}
-	}
 	ret, err := s.exec(f, 0)
 	if err == nil {
 		s.putFrame(f)
