@@ -1,15 +1,17 @@
 // Package core ties the reproduction together: it drives the full
 // compilation pipeline (profiling, inlining, scalar optimization, the
 // control transformations of Section 3, predicate promotion, counted
-// loop conversion, scheduling and loop-buffer assignment) in the
-// paper's two configurations — "traditional" and aggressively
-// transformed — and runs the result on the cycle-level VLIW simulator
-// with execution-verified semantics.
+// loop conversion and scheduling) in the paper's two configurations —
+// "traditional" and aggressively transformed — and runs the result on
+// the cycle-level VLIW simulator with execution-verified semantics,
+// assigning loops to the buffer from the weights that execution
+// measures.
 package core
 
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"lpbuf/internal/hyperblock"
 	"lpbuf/internal/inline"
@@ -119,12 +121,11 @@ func RunReference(prog *ir.Program) (*Reference, error) {
 }
 
 // Compiled is a fully compiled program plus its reference behaviour.
+// Buffer plans are made at run time, from the weights the program's
+// own execution measures (Weights); copies of a Compiled share them.
 type Compiled struct {
 	Config Config
 	Code   *sched.Code
-	Plan   *vliw.BufferPlan
-	// Prof is the profile of the transformed program.
-	Prof *profile.Profile
 	// Ref is the reference execution (interpreter, original program).
 	// Compiles that share a Reference share this pointer.
 	Ref *interp.Result
@@ -134,6 +135,16 @@ type Compiled struct {
 
 	// Stats reports what the compiler did.
 	Stats PassStats
+
+	weights *weightsMemo
+}
+
+// weightsMemo holds a compile's loop weights once an execution has
+// measured them: a few numbers per loop, the same from every execution
+// of the compile.
+type weightsMemo struct {
+	mu sync.Mutex
+	w  vliw.Weights
 }
 
 // PassStats reports compiler activity.
@@ -196,7 +207,7 @@ func CompileWithReference(prog *ir.Program, cfg Config, ref func() (*Reference, 
 	default:
 		return nil, fmt.Errorf("%s: unknown scheduler backend %q", cfg.Name, cfg.SchedBackend)
 	}
-	c := &Compiled{Config: cfg}
+	c := &Compiled{Config: cfg, weights: &weightsMemo{}}
 	c.Stats.OrigOps = prog.OpCount()
 
 	// Root span for the whole compile; phase children carry IR-size
@@ -335,20 +346,21 @@ func CompileWithReference(prog *ir.Program, cfg Config, ref func() (*Reference, 
 		return nil, err
 	}
 
-	// Re-profile the transformed program and check it still computes
-	// the reference behaviour (execution-verified transformations).
-	sp = root.Child("re-profile")
-	prof1 := profile.New()
-	tres, err := interp.Run(p, interp.Options{Profile: prof1})
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("%s: transformed program run: %w", cfg.Name, err)
+	// A verifying compile interprets the transformed program and checks
+	// it still computes the reference behaviour, so a miscompile is
+	// caught at the transforms; every compile's simulations check it
+	// again on the scheduled code.
+	if cfg.Verify {
+		sp = root.Child("transformed-check")
+		tres, err := interp.Run(p, interp.Options{})
+		sp.End()
+		if err != nil {
+			return nil, fmt.Errorf("%s: transformed program run: %w", cfg.Name, err)
+		}
+		if tres.Ret != c.Ref.Ret || !bytes.Equal(tres.Mem, c.Ref.Mem) {
+			return nil, fmt.Errorf("%s: transformations changed program behaviour", cfg.Name)
+		}
 	}
-	if tres.Ret != c.Ref.Ret || !bytes.Equal(tres.Mem, c.Ref.Mem) {
-		return nil, fmt.Errorf("%s: transformations changed program behaviour", cfg.Name)
-	}
-	prof1.ApplyWeights(p)
-	c.Prof = prof1
 	c.TransformedIR = p.Clone()
 	c.Stats.FinalOps = p.OpCount()
 	for _, name := range p.Order {
@@ -390,97 +402,134 @@ func CompileWithReference(prog *ir.Program, cfg Config, ref func() (*Reference, 
 		c.Stats.SchedNodes = st.Nodes
 	}
 
-	sp = root.Child("bufplan")
-	c.Plan = loopbuffer.Plan(code, prof1, cfg.BufferCapacity)
-	sp.SetInt("capacity", cfg.BufferCapacity)
-	sp.SetInt("planned_loops", len(c.Plan.Loops))
-	sp.End()
 	root.SetInt("final_ops", c.Stats.FinalOps)
-	if cfg.Verify {
-		if err := verify.AsError(verify.Plan("post-bufplan", code, c.Plan)); err != nil {
-			return nil, fmt.Errorf("%s: post-bufplan: %w", cfg.Name, err)
-		}
-	}
 	return c, nil
 }
 
-// Run executes the compiled program on the cycle simulator and checks
-// its output against the reference execution.
-func (c *Compiled) Run() (*vliw.Result, error) { return c.runPlan(c.Plan) }
+// Run executes the compiled program on the cycle simulator with the
+// configured buffer capacity and checks its output against the
+// reference execution.
+func (c *Compiled) Run() (*vliw.Result, error) { return c.RunWithBuffer(c.Config.BufferCapacity) }
 
-// RunWithBuffer re-plans buffer assignment for a different capacity and
-// runs (the schedule itself is buffer-size independent).
+// RunWithBuffer plans the buffer for capacity and runs (the schedule
+// itself is buffer-size independent). A run whose Obs has a
+// cycle-level event ring accounts live (vliw.Run), planning from the
+// compile's weights; any other run is a one-capacity RunSweep.
 func (c *Compiled) RunWithBuffer(capacity int) (*vliw.Result, error) {
-	return c.runPlan(loopbuffer.Plan(c.Code, c.Prof, capacity))
-}
-
-// RunSweep plans buffer assignment at every capacity and runs the
-// whole sweep as ONE batched simulation (vliw.RunBatch): the program
-// executes once and is accounted under every plan, so a Figure 7 sweep
-// costs one simulation instead of len(capacities). Results come back
-// in capacity order. Sweeps always run in folded-stats mode — Stats
-// are exact, per-cycle event emission is skipped (sweep consumers read
-// Stats, not rings).
-func (c *Compiled) RunSweep(capacities []int) ([]*vliw.Result, error) {
-	plans := make([]*vliw.BufferPlan, len(capacities))
-	var labels []string
-	if c.Config.Obs != nil || c.Config.PMU != nil {
-		labels = make([]string, len(capacities))
-	}
-	for i, capacity := range capacities {
-		plans[i] = loopbuffer.Plan(c.Code, c.Prof, capacity)
-		if c.Config.Verify {
-			if err := verify.AsError(verify.Plan("bufplan", c.Code, plans[i])); err != nil {
-				return nil, fmt.Errorf("%s: %w", c.Config.Name, err)
-			}
+	if c.Config.Obs.SimRing() == nil {
+		rs, err := c.RunSweep([]int{capacity})
+		if err != nil {
+			return nil, err
 		}
-		if labels != nil {
-			labels[i] = fmt.Sprintf("%s/%s@%d", c.Config.TraceLabel, c.Config.Name, capacity)
-		}
+		return rs[0], nil
 	}
-	results, err := vliw.RunBatch(c.Code, plans, vliw.BatchOptions{
-		Options:         vliw.Options{Obs: c.Config.Obs, PMU: c.Config.PMU},
-		Labels:          labels,
-		FoldedStatsOnly: true,
-	})
+	w, err := c.Weights()
+	if err != nil {
+		return nil, err
+	}
+	plan, err := c.plan(w, capacity)
+	if err != nil {
+		return nil, err
+	}
+	res, err := vliw.Run(c.Code, plan, vliw.Options{Obs: c.Config.Obs,
+		TraceLabel: c.label(capacity), PMU: c.Config.PMU})
 	if err != nil {
 		return nil, fmt.Errorf("%s: simulation: %w", c.Config.Name, err)
 	}
-	// Architectural state is shared across the batch; checking one
-	// result checks them all.
-	if results[0].Ret != c.Ref.Ret {
-		return nil, fmt.Errorf("%s: simulated return %d != reference %d",
-			c.Config.Name, results[0].Ret, c.Ref.Ret)
+	if err := c.check(res.Ret, res.Mem); err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(results[0].Mem, c.Ref.Mem) {
-		return nil, fmt.Errorf("%s: simulated memory differs from reference", c.Config.Name)
+	return res, nil
+}
+
+// RunSweep executes the program once, plan-free (vliw.Execute), checks
+// it against the reference, plans the buffer at every capacity from
+// the execution's loop weights and folds each plan over the
+// execution's trace: a Figure 7 sweep costs one simulation instead of
+// len(capacities). Results come back in capacity order and carry no
+// cycle-level events.
+func (c *Compiled) RunSweep(capacities []int) ([]*vliw.Result, error) {
+	x, err := c.execute(c.Config.PMU)
+	if err != nil {
+		return nil, err
+	}
+	w := x.Weights()
+	results := make([]*vliw.Result, len(capacities))
+	for i, capacity := range capacities {
+		plan, err := c.plan(w, capacity)
+		if err != nil {
+			return nil, err
+		}
+		if results[i], err = x.Fold(plan, c.label(capacity)); err != nil {
+			return nil, fmt.Errorf("%s: %w", c.Config.Name, err)
+		}
 	}
 	return results, nil
 }
 
-func (c *Compiled) runPlan(plan *vliw.BufferPlan) (*vliw.Result, error) {
-	if c.Config.Verify && plan != c.Plan {
-		// Re-planned buffers (RunWithBuffer sweeps) are checkpointed
-		// too; the compile-time plan was already verified.
+// Weights returns the compile's loop weights, executing the program
+// plan-free first if no run has measured them yet.
+func (c *Compiled) Weights() (vliw.Weights, error) {
+	c.weights.mu.Lock()
+	w := c.weights.w
+	c.weights.mu.Unlock()
+	if w != nil {
+		return w, nil
+	}
+	x, err := c.execute(nil)
+	if err != nil {
+		return nil, err
+	}
+	return x.Weights(), nil
+}
+
+// execute runs the program plan-free with pmu sampling (nil: none),
+// checks it against the reference and keeps its loop weights.
+func (c *Compiled) execute(pmu *pmu.Config) (*vliw.Execution, error) {
+	x, err := vliw.Execute(c.Code, vliw.Options{Obs: c.Config.Obs, PMU: pmu})
+	if err != nil {
+		return nil, fmt.Errorf("%s: simulation: %w", c.Config.Name, err)
+	}
+	if err := c.check(x.Ret, x.Mem); err != nil {
+		return nil, err
+	}
+	c.weights.mu.Lock()
+	if c.weights.w == nil {
+		c.weights.w = x.Weights()
+	}
+	c.weights.mu.Unlock()
+	return x, nil
+}
+
+// plan assigns loops to a capacity-op buffer by the weights w; a
+// verifying compile checks the plan.
+func (c *Compiled) plan(w vliw.Weights, capacity int) (*vliw.BufferPlan, error) {
+	plan := loopbuffer.Plan(c.Code, w, capacity)
+	if c.Config.Verify {
 		if err := verify.AsError(verify.Plan("bufplan", c.Code, plan)); err != nil {
 			return nil, fmt.Errorf("%s: %w", c.Config.Name, err)
 		}
 	}
-	var label string
-	if c.Config.Obs != nil || c.Config.PMU != nil {
-		label = fmt.Sprintf("%s/%s@%d", c.Config.TraceLabel, c.Config.Name, plan.Capacity)
+	return plan, nil
+}
+
+// label names a run at capacity in events and profiles (empty when the
+// compile has neither).
+func (c *Compiled) label(capacity int) string {
+	if c.Config.Obs == nil && c.Config.PMU == nil {
+		return ""
 	}
-	res, err := vliw.Run(c.Code, plan, vliw.Options{Obs: c.Config.Obs,
-		TraceLabel: label, PMU: c.Config.PMU})
-	if err != nil {
-		return nil, fmt.Errorf("%s: simulation: %w", c.Config.Name, err)
+	return fmt.Sprintf("%s/%s@%d", c.Config.TraceLabel, c.Config.Name, capacity)
+}
+
+// check compares a simulation's return value and final memory with the
+// reference execution's.
+func (c *Compiled) check(ret int64, mem []byte) error {
+	if ret != c.Ref.Ret {
+		return fmt.Errorf("%s: simulated return %d != reference %d", c.Config.Name, ret, c.Ref.Ret)
 	}
-	if res.Ret != c.Ref.Ret {
-		return nil, fmt.Errorf("%s: simulated return %d != reference %d",
-			c.Config.Name, res.Ret, c.Ref.Ret)
+	if !bytes.Equal(mem, c.Ref.Mem) {
+		return fmt.Errorf("%s: simulated memory differs from reference", c.Config.Name)
 	}
-	if !bytes.Equal(res.Mem, c.Ref.Mem) {
-		return nil, fmt.Errorf("%s: simulated memory differs from reference", c.Config.Name)
-	}
-	return res, nil
+	return nil
 }

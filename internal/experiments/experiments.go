@@ -628,8 +628,9 @@ func mergeFig3(dst, src *Fig3) {
 	dst.ExtraDefines += src.ExtraDefines
 }
 
-// fig3ForCompiled analyzes one aggressive compile.
-func fig3ForCompiled(c *core.Compiled) *Fig3 {
+// fig3ForCompiled analyzes one aggressive compile, weighting each loop
+// by its block's executions (w, the compile's loop weights).
+func fig3ForCompiled(c *core.Compiled, w vliw.Weights) *Fig3 {
 	out := newFig3()
 	for _, fname := range c.Code.Prog.Order {
 		fc := c.Code.Funcs[fname]
@@ -641,8 +642,8 @@ func fig3ForCompiled(c *core.Compiled) *Fig3 {
 			out.TotalLoops++
 			blk := irf.Block(sec.Block)
 			weight := int64(1)
-			if blk != nil && blk.Weight > 0 {
-				weight = int64(blk.Weight)
+			if n := w[vliw.LoopKey(fname, sec.Start)].Iterations; n > 0 {
+				weight = n
 			}
 			// Scheduled ops of the section.
 			var sops []predicate.SchedOp

@@ -11,9 +11,14 @@ import (
 	"lpbuf/internal/vliw"
 )
 
-// planFor recomputes the buffer plan for a capacity (cheap).
-func planFor(c *core.Compiled, capacity int) *vliw.BufferPlan {
-	return loopbuffer.Plan(c.Code, c.Prof, capacity)
+// planFor recomputes the buffer plan for a capacity from the compile's
+// loop weights (cheap once a run has measured them).
+func planFor(c *core.Compiled, capacity int) (*vliw.BufferPlan, error) {
+	w, err := c.Weights()
+	if err != nil {
+		return nil, err
+	}
+	return loopbuffer.Plan(c.Code, w, capacity), nil
 }
 
 // Fig5Loop is one loop's runtime buffer behaviour at one buffer size.
@@ -70,7 +75,11 @@ func (s *Suite) Figure5(bufferOps int) (*Fig5, error) {
 			OpsBuffered:        ls.OpsBuffered, OpsMemory: ls.OpsMemory}
 	}
 	// Names/footprints from a fresh plan.
-	for _, pl := range planFor(c, bufferOps).Loops {
+	plan, err := planFor(c, bufferOps)
+	if err != nil {
+		return nil, err
+	}
+	for _, pl := range plan.Loops {
 		if l, ok := loops[pl.Key()]; ok {
 			l.Label = pl.Label
 			l.Ops = pl.Ops

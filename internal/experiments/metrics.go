@@ -99,8 +99,12 @@ func (s *Suite) loopLabels(bench, cfg string, bufferOps int) map[string]string {
 	if err != nil {
 		return nil
 	}
+	plan, err := planFor(c, bufferOps)
+	if err != nil {
+		return nil
+	}
 	out := map[string]string{}
-	for _, pl := range planFor(c, bufferOps).Loops {
+	for _, pl := range plan.Loops {
 		out[pl.Key()] = pl.Label
 	}
 	return out

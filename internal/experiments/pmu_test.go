@@ -44,8 +44,12 @@ func TestFigure5PMUGoldenAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := planFor(c, bufferOps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	labels := map[string]string{}
-	for _, pl := range planFor(c, bufferOps).Loops {
+	for _, pl := range plan.Loops {
 		labels[pl.Key()] = pl.Label
 	}
 

@@ -160,7 +160,11 @@ func (s *Suite) Figure3Ctx(ctx context.Context) (*Fig3, error) {
 			return err
 		}
 		return s.run.Job(runner.KindAnalyze, "analyze/figure3/"+names[i], func() error {
-			parts[i] = fig3ForCompiled(c)
+			w, err := c.Weights()
+			if err != nil {
+				return err
+			}
+			parts[i] = fig3ForCompiled(c, w)
 			return nil
 		})
 	})

@@ -1,6 +1,7 @@
 // Package loopbuffer implements compile-time assignment of loops to
 // the loop buffer (Sections 5 and 6): it identifies bufferable loop
-// sections in the scheduled code, ranks them by profiled benefit, and
+// sections in the scheduled code, ranks them by their benefit in the
+// program's execution (vliw.Execution.Weights), and
 // chooses buffer offsets so that the hottest loops evict each other as
 // little as possible. The runtime record/replay semantics of the
 // Table 3 operations are modeled by the simulator from this plan.
@@ -11,7 +12,6 @@ import (
 	"sort"
 
 	"lpbuf/internal/ir"
-	"lpbuf/internal/profile"
 	"lpbuf/internal/sched"
 	"lpbuf/internal/vliw"
 )
@@ -19,20 +19,20 @@ import (
 // candidate is a bufferable loop with its placement metrics.
 type candidate struct {
 	pl      *vliw.PlannedLoop
-	weight  float64 // profiled iterations
-	entries float64 // profiled entries
+	weight  float64 // executed iterations
+	entries float64 // executed entries
 	benefit float64
 	density float64
 }
 
-// Plan builds a buffer plan for the scheduled program.
-func Plan(code *sched.Code, prof *profile.Profile, capacity int) *vliw.BufferPlan {
+// Plan builds a buffer plan for the scheduled program from its loops'
+// weights in an execution of it.
+func Plan(code *sched.Code, w vliw.Weights, capacity int) *vliw.BufferPlan {
 	plan := &vliw.BufferPlan{Capacity: capacity}
 	var cands []*candidate
 
 	for _, name := range code.Prog.Order {
 		fc := code.Funcs[name]
-		fp := prof.Funcs[name]
 		for _, sec := range fc.Sections {
 			pl := sectionLoop(fc, sec)
 			if pl == nil {
@@ -41,13 +41,8 @@ func Plan(code *sched.Code, prof *profile.Profile, capacity int) *vliw.BufferPla
 			if pl.Ops == 0 || pl.Ops > capacity {
 				continue
 			}
-			c := &candidate{pl: pl}
-			if blk := fc.F.Block(sec.Block); blk != nil {
-				c.weight = blk.Weight
-			}
-			if fp != nil {
-				c.entries = entriesInto(code, fc, sec.Block, fp)
-			}
+			lw := w[pl.Key()]
+			c := &candidate{pl: pl, weight: float64(lw.Iterations), entries: float64(lw.Entries)}
 			if c.entries == 0 {
 				c.entries = 1
 			}
@@ -161,15 +156,4 @@ func sectionOps(sec *sched.BlockCode) int {
 		n += len(b.Ops)
 	}
 	return n
-}
-
-// entriesInto counts profiled entries into a block from outside itself.
-func entriesInto(code *sched.Code, fc *sched.FuncCode, blk ir.BlockID, fp *profile.FuncProfile) float64 {
-	var e float64
-	for edge, cnt := range fp.Edge {
-		if edge.To == blk && edge.From != blk {
-			e += float64(cnt)
-		}
-	}
-	return e
 }

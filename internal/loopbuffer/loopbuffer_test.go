@@ -3,12 +3,11 @@ package loopbuffer
 import (
 	"testing"
 
-	"lpbuf/internal/interp"
 	"lpbuf/internal/ir"
 	"lpbuf/internal/ir/irbuild"
 	"lpbuf/internal/machine"
-	"lpbuf/internal/profile"
 	"lpbuf/internal/sched"
+	"lpbuf/internal/vliw"
 )
 
 // twoLoopProgram builds two sequential counted loops with different
@@ -40,18 +39,19 @@ func twoLoopProgram(hotTrips, coldTrips int64) *ir.Program {
 	return pb.MustBuild()
 }
 
-func planFor(t *testing.T, prog *ir.Program, capacity int) (*sched.Code, *profile.Profile) {
+// planFor schedules prog and measures its loop weights in a plan-free
+// execution.
+func planFor(t *testing.T, prog *ir.Program, capacity int) (*sched.Code, vliw.Weights) {
 	t.Helper()
-	prof := profile.New()
-	if _, err := interp.Run(prog, interp.Options{Profile: prof}); err != nil {
-		t.Fatal(err)
-	}
-	prof.ApplyWeights(prog)
 	code, err := sched.Schedule(prog, machine.Default(), sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return code, prof
+	x, err := vliw.Execute(code, vliw.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, x.Weights()
 }
 
 func TestPlanPlacesBothWhenRoomy(t *testing.T) {

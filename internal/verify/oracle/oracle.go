@@ -10,14 +10,16 @@
 // reproduced fetch statistics rest on:
 //
 //   - interp vs VLIW: return value and final memory;
-//   - fast vs interpretive: the region fast path and the interpretive
-//     per-bundle path (vliw.Options.NoFastPath) agree on return value,
-//     memory, Stats with per-loop splits, and the cycle-level event
-//     stream; without an event ring both report the ring-on results;
-//   - batch vs solo: one vliw.RunBatch over every capacity's plan and
-//     an empty plan reports each plan's solo Stats;
-//   - PMU: sampling leaves Stats unchanged, and both paths take the
-//     same samples.
+//   - fast vs interpretive: live runs (vliw.Run, event ring on) on the
+//     region fast path and on the interpretive per-bundle path
+//     (vliw.Options.NoFastPath) agree on return value, memory, Stats
+//     with per-loop splits, the cycle-level event stream and the PMU
+//     attribution;
+//   - fold vs live: every capacity's plan and an empty plan, folded over
+//     one plan-free execution (vliw.Execute) on either path, sampled or
+//     not, report the live run's return value, memory and Stats, and
+//     when sampled its PMU attribution. The live runs sample, so the
+//     unsampled folds also pin that sampling leaves Stats unchanged.
 //
 // An error names the level, the contract and, where it has one, the
 // buffer size.
@@ -87,139 +89,124 @@ func CheckWith(prog *ir.Program, backend string) error {
 		if err != nil {
 			return fmt.Errorf("%s: compile: %w", cfg.Name, err)
 		}
-		// Every batch ends with an empty plan, so accounts that stream a
-		// loop always share it with one that plans nothing.
-		plans := make([]*vliw.BufferPlan, len(BufferSizes)+1)
-		solo := make([]vliw.Stats, len(BufferSizes)+1)
-		for i, sz := range BufferSizes {
-			// core already compares each run against its own reference
-			// execution; compare against ours too so a bug in core's
-			// internal reference plumbing cannot mask a miscompile.
-			res, err := c.RunWithBuffer(sz)
-			if err != nil {
-				return fmt.Errorf("%s/buf%d: %w", cfg.Name, sz, err)
-			}
-			if res.Ret != ref.Ret {
-				return fmt.Errorf("%s/buf%d: vliw ret %d != interp ret %d",
-					cfg.Name, sz, res.Ret, ref.Ret)
-			}
-			if !bytes.Equal(res.Mem, ref.Mem) {
-				return fmt.Errorf("%s/buf%d: vliw memory differs from interp", cfg.Name, sz)
-			}
-			plans[i] = loopbuffer.Plan(c.Code, c.Prof, sz)
-			solo[i] = res.Stats
-			if err := checkFastPath(c.Code, plans[i]); err != nil {
-				return fmt.Errorf("%s/buf%d: fast vs interpretive: %w", cfg.Name, sz, err)
-			}
-		}
-		empty := len(BufferSizes)
-		plans[empty] = &vliw.BufferPlan{Capacity: 0}
-		res, err := vliw.Run(c.Code, plans[empty], vliw.Options{})
+		// core compares its runs against its own reference execution;
+		// compare against ours too so a bug in core's internal
+		// reference plumbing cannot mask a miscompile.
+		runs, err := c.RunSweep(BufferSizes)
 		if err != nil {
-			return fmt.Errorf("%s/buf0: %w", cfg.Name, err)
+			return fmt.Errorf("%s: %w", cfg.Name, err)
 		}
-		solo[empty] = res.Stats
-		if err := checkBatch(c.Code, plans, solo); err != nil {
-			return fmt.Errorf("%s: batch vs solo: %w", cfg.Name, err)
+		if runs[0].Ret != ref.Ret {
+			return fmt.Errorf("%s: vliw ret %d != interp ret %d", cfg.Name, runs[0].Ret, ref.Ret)
 		}
-		if err := checkPMU(c.Code, plans, solo); err != nil {
-			return fmt.Errorf("%s: pmu: %w", cfg.Name, err)
+		if !bytes.Equal(runs[0].Mem, ref.Mem) {
+			return fmt.Errorf("%s: vliw memory differs from interp", cfg.Name)
+		}
+		w, err := c.Weights()
+		if err != nil {
+			return fmt.Errorf("%s: %w", cfg.Name, err)
+		}
+		// Every capacity's plan, then an empty plan, so a plan that
+		// streams a loop is always checked beside one that plans nothing.
+		plans := make([]*vliw.BufferPlan, len(BufferSizes)+1)
+		live := make([]*vliw.Result, len(plans))
+		for i := range plans {
+			plans[i] = &vliw.BufferPlan{Capacity: 0}
+			if i < len(BufferSizes) {
+				plans[i] = loopbuffer.Plan(c.Code, w, BufferSizes[i])
+			}
+			if live[i], err = checkFastPath(c.Code, plans[i]); err != nil {
+				return fmt.Errorf("%s/buf%d: fast vs interpretive: %w", cfg.Name, plans[i].Capacity, err)
+			}
+		}
+		for i, r := range runs {
+			if err := sameStats("core fold", "live", r.Stats, live[i].Stats); err != nil {
+				return fmt.Errorf("%s/buf%d: fold vs live: %w", cfg.Name, plans[i].Capacity, err)
+			}
+		}
+		if err := checkFolds(c.Code, plans, live); err != nil {
+			return fmt.Errorf("%s: fold vs live: %w", cfg.Name, err)
 		}
 	}
 	return nil
 }
 
-// checkFastPath runs plan on the region fast path and on the
-// interpretive path, each with the cycle-level event ring on, and
-// requires identical results and event streams. Both paths also run
-// without a ring, as sweeps do, and must report the ring-on results.
-func checkFastPath(code *sched.Code, plan *vliw.BufferPlan) error {
+// pmuConfig is the contracts' sampling clock.
+var pmuConfig = &pmu.Config{Period: samplePeriod, Seed: 1}
+
+// checkFastPath runs plan live on the region fast path and on the
+// interpretive path, each with the cycle-level event ring and PMU
+// sampling on, and requires identical results, event streams and
+// profiles. It returns the fast path's result.
+func checkFastPath(code *sched.Code, plan *vliw.BufferPlan) (*vliw.Result, error) {
 	run := func(noFast bool) (*vliw.Result, *obs.Obs, error) {
 		o := obs.New(obs.Config{SimEvents: true, SimRingSize: eventRing})
 		res, err := vliw.Run(code, plan, vliw.Options{Obs: o, TraceLabel: "oracle",
-			NoFastPath: noFast})
+			NoFastPath: noFast, PMU: pmuConfig})
 		return res, o, err
 	}
 	fast, fastObs, err := run(false)
 	if err != nil {
-		return fmt.Errorf("fast path: %w", err)
+		return nil, fmt.Errorf("fast path: %w", err)
 	}
 	slow, slowObs, err := run(true)
 	if err != nil {
-		return fmt.Errorf("interpretive path: %w", err)
+		return nil, fmt.Errorf("interpretive path: %w", err)
 	}
 	if err := sameResult("fast", "interpretive", fast, slow); err != nil {
-		return err
+		return nil, err
 	}
-	for _, noFast := range []bool{false, true} {
-		name, want := "ring-free fast", fast
-		if noFast {
-			name, want = "ring-free interpretive", slow
-		}
-		res, err := vliw.Run(code, plan, vliw.Options{NoFastPath: noFast})
-		if err != nil {
-			return fmt.Errorf("%s path: %w", name, err)
-		}
-		if err := sameResult(name, "ring-on", res, want); err != nil {
-			return err
-		}
+	if !fast.Profile.Equal(slow.Profile) {
+		return nil, fmt.Errorf("profiles differ: %d samples (fast) vs %d (interpretive)",
+			fast.Profile.Total(), slow.Profile.Total())
 	}
 	if ft, st := fastObs.Sim.Total(), slowObs.Sim.Total(); ft != st {
-		return fmt.Errorf("event totals %d (fast) != %d (interpretive)", ft, st)
+		return nil, fmt.Errorf("event totals %d (fast) != %d (interpretive)", ft, st)
 	}
 	fe, se := fastObs.Sim.Events(), slowObs.Sim.Events()
 	if len(fe) != len(se) {
-		return fmt.Errorf("retained events %d (fast) != %d (interpretive)", len(fe), len(se))
+		return nil, fmt.Errorf("retained events %d (fast) != %d (interpretive)", len(fe), len(se))
 	}
 	for i := range fe {
 		if fe[i] != se[i] {
-			return fmt.Errorf("event %d: %+v (fast) != %+v (interpretive)", i, fe[i], se[i])
+			return nil, fmt.Errorf("event %d: %+v (fast) != %+v (interpretive)", i, fe[i], se[i])
 		}
 	}
-	return nil
+	return fast, nil
 }
 
-// checkBatch runs every plan in one batch and requires each plan's
-// solo Stats.
-func checkBatch(code *sched.Code, plans []*vliw.BufferPlan, solo []vliw.Stats) error {
-	rs, err := vliw.RunBatch(code, plans, vliw.BatchOptions{})
-	if err != nil {
-		return err
-	}
-	for i, r := range rs {
-		if err := sameStats("batch", "solo", r.Stats, solo[i]); err != nil {
-			return fmt.Errorf("buf%d: %w", plans[i].Capacity, err)
-		}
-	}
-	return nil
-}
-
-// checkPMU runs the plans' batch with sampling on, on both paths: the
-// Stats must be the unsampled solo ones and the two paths' profiles
-// must be equal.
-func checkPMU(code *sched.Code, plans []*vliw.BufferPlan, solo []vliw.Stats) error {
-	run := func(noFast bool) ([]*vliw.Result, error) {
-		return vliw.RunBatch(code, plans, vliw.BatchOptions{Options: vliw.Options{
-			NoFastPath: noFast, PMU: &pmu.Config{Period: samplePeriod, Seed: 1}}})
-	}
-	fast, err := run(false)
-	if err != nil {
-		return fmt.Errorf("fast path: %w", err)
-	}
-	slow, err := run(true)
-	if err != nil {
-		return fmt.Errorf("interpretive path: %w", err)
-	}
-	for i := range fast {
-		if err := sameStats("sampled fast", "unsampled", fast[i].Stats, solo[i]); err != nil {
-			return fmt.Errorf("buf%d: %w", plans[i].Capacity, err)
-		}
-		if err := sameStats("sampled interpretive", "unsampled", slow[i].Stats, solo[i]); err != nil {
-			return fmt.Errorf("buf%d: %w", plans[i].Capacity, err)
-		}
-		if fp, sp := fast[i].Profile, slow[i].Profile; !fp.Equal(sp) {
-			return fmt.Errorf("buf%d: profiles differ: %d samples (fast) vs %d (interpretive)",
-				plans[i].Capacity, fp.Total(), sp.Total())
+// checkFolds executes the program plan-free on both paths, with and
+// without sampling, and requires every plan's fold to report the live
+// run's result (live[i] for plans[i]) and, when sampled, its PMU
+// attribution.
+func checkFolds(code *sched.Code, plans []*vliw.BufferPlan, live []*vliw.Result) error {
+	for _, noFast := range []bool{false, true} {
+		for _, sampled := range []bool{false, true} {
+			name := "fast"
+			if noFast {
+				name = "interpretive"
+			}
+			opts := vliw.Options{NoFastPath: noFast}
+			if sampled {
+				name, opts.PMU = "sampled "+name, pmuConfig
+			}
+			x, err := vliw.Execute(code, opts)
+			if err != nil {
+				return fmt.Errorf("%s execution: %w", name, err)
+			}
+			for i, plan := range plans {
+				r, err := x.Fold(plan, "oracle")
+				if err != nil {
+					return fmt.Errorf("buf%d: %s fold: %w", plan.Capacity, name, err)
+				}
+				if err := sameResult(name+" fold", "live", r, live[i]); err != nil {
+					return fmt.Errorf("buf%d: %w", plan.Capacity, err)
+				}
+				if sampled && !r.Profile.Equal(live[i].Profile) {
+					return fmt.Errorf("buf%d: profiles differ: %d samples (%s fold) vs %d (live)",
+						plan.Capacity, r.Profile.Total(), name, live[i].Profile.Total())
+				}
+			}
 		}
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"lpbuf/internal/core"
 	"lpbuf/internal/ir"
 	"lpbuf/internal/ir/irbuild"
+	"lpbuf/internal/loopbuffer"
 	"lpbuf/internal/machine"
 	"lpbuf/internal/sched"
 	"lpbuf/internal/verify"
@@ -49,7 +50,12 @@ func TestCompiledBenchmarksClean(t *testing.T) {
 			if vs := verify.Code("post-sched", c.Code); len(vs) > 0 {
 				t.Errorf("%s/%s scheduled code: %v", name, cfg.Name, verify.AsError(vs))
 			}
-			if vs := verify.Plan("post-bufplan", c.Code, c.Plan); len(vs) > 0 {
+			w, err := c.Weights()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, cfg.Name, err)
+			}
+			plan := loopbuffer.Plan(c.Code, w, cfg.BufferCapacity)
+			if vs := verify.Plan("bufplan", c.Code, plan); len(vs) > 0 {
 				t.Errorf("%s/%s buffer plan: %v", name, cfg.Name, verify.AsError(vs))
 			}
 		}

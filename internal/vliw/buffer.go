@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lpbuf/internal/obs"
-	"lpbuf/internal/sched"
 )
 
 // PlannedLoop is one loop the compiler scheduled into the loop buffer.
@@ -26,7 +25,13 @@ type PlannedLoop struct {
 
 // Key identifies the loop in statistics maps.
 func (pl *PlannedLoop) Key() string {
-	return fmt.Sprintf("%s@%d", pl.Func, pl.StartBundle)
+	return LoopKey(pl.Func, pl.StartBundle)
+}
+
+// LoopKey names the loop section of function fn that starts at bundle
+// start, as PlannedLoop.Key, Stats.Loops and Weights spell it.
+func LoopKey(fn string, start int) string {
+	return fmt.Sprintf("%s@%d", fn, start)
 }
 
 // BufferPlan is the compile-time assignment of loops to buffer space.
@@ -37,47 +42,48 @@ type BufferPlan struct {
 	Loops []*PlannedLoop
 }
 
-// bufferState is the runtime state of one account's loop buffer. Each
-// batched account carries its own: buffer contents and residency are
-// plan-dependent even though the architectural execution is shared.
+// bufferState is the runtime state of one account's loop buffer: which
+// loop images are intact, which loop streams and whether it replays.
+// A live run drives it fetch by fetch; a fold drives the same
+// transitions from the execution's loop-level trace (see fold.go).
+// Loops are named by their index in plan.Loops, -1 for none, so the
+// per-fetch path indexes slices and never hashes.
 type bufferState struct {
 	plan *BufferPlan
-	// byFunc[func][bundle] = planned loop covering that bundle. The
-	// string-keyed lookup is hoisted to once per function activation
-	// (loopsFor); the per-fetch path only indexes the slice.
-	byFunc map[string][]*PlannedLoop
-	// index and stats cache per-loop lookups so the per-fetch hot path
-	// never re-derives the loop's string key (Key() formats).
-	index map[*PlannedLoop]int
-	stats map[*PlannedLoop]*LoopStats
+	// byFunc[func][bundle] = index of the planned loop covering that
+	// bundle (-1 for none). The string-keyed lookup is hoisted to once
+	// per function activation (loopsFor); the per-fetch path only
+	// indexes the slice.
+	byFunc map[string][]int32
+	// stats[i] is plan.Loops[i]'s stats record, created on first use.
+	stats []*LoopStats
 	// intact[i] reports whether plan.Loops[i]'s image is valid.
 	intact []bool
-	// cur is the loop currently streaming (recording or replaying).
-	cur *PlannedLoop
-	// curLS is cur's stats record, cached so the steady-state fetch
-	// path never touches the stats map.
-	curLS *LoopStats
+	// cur is the loop currently streaming (recording or replaying), -1
+	// for none.
+	cur int32
 	// replaying is true when cur issues from the buffer.
 	replaying bool
 	// enteredAt is the cycle cur was entered (for residency events).
 	enteredAt int64
+	// bp is the machine's redirect penalty.
+	bp int64
 }
 
-func newBufferState(plan *BufferPlan) *bufferState {
-	bs := &bufferState{plan: plan, byFunc: map[string][]*PlannedLoop{},
-		index: map[*PlannedLoop]int{}, stats: map[*PlannedLoop]*LoopStats{}}
+func newBufferState(plan *BufferPlan, bp int64) *bufferState {
+	bs := &bufferState{plan: plan, byFunc: map[string][]int32{}, cur: -1, bp: bp}
 	if plan == nil {
 		return bs
 	}
+	bs.stats = make([]*LoopStats, len(plan.Loops))
 	bs.intact = make([]bool, len(plan.Loops))
 	for i, pl := range plan.Loops {
-		bs.index[pl] = i
 		m := bs.byFunc[pl.Func]
 		for len(m) < pl.EndBundle {
-			m = append(m, nil)
+			m = append(m, -1)
 		}
-		for i := pl.StartBundle; i < pl.EndBundle; i++ {
-			m[i] = pl
+		for pc := pl.StartBundle; pc < pl.EndBundle; pc++ {
+			m[pc] = int32(i)
 		}
 		bs.byFunc[pl.Func] = m
 	}
@@ -87,47 +93,52 @@ func newBufferState(plan *BufferPlan) *bufferState {
 // loopsFor returns the per-bundle planned-loop table of one function.
 // Called once per function activation; nil when the function has no
 // planned loops.
-func (bs *bufferState) loopsFor(fn string) []*PlannedLoop {
+func (bs *bufferState) loopsFor(fn string) []int32 {
 	return bs.byFunc[fn]
 }
 
-func (bs *bufferState) indexOf(pl *PlannedLoop) int {
-	return bs.index[pl]
+// loop returns planned loop i (nil for -1).
+func (bs *bufferState) loop(i int32) *PlannedLoop {
+	if i < 0 {
+		return nil
+	}
+	return bs.plan.Loops[i]
 }
 
-// lsOf returns (creating on first use) the loop's stats record.
-func (bs *bufferState) lsOf(pl *PlannedLoop, a *account) *LoopStats {
-	ls := bs.stats[pl]
+// streaming reports whether a loop residency is open.
+func (bs *bufferState) streaming() bool { return bs.cur >= 0 }
+
+// lsOf returns (creating on first use) loop i's stats record.
+func (bs *bufferState) lsOf(i int32, a *account) *LoopStats {
+	ls := bs.stats[i]
 	if ls == nil {
 		ls = &LoopStats{}
-		bs.stats[pl] = ls
-		a.stats.Loops[pl.Key()] = ls
+		bs.stats[i] = ls
+		a.stats.Loops[bs.plan.Loops[i].Key()] = ls
 	}
 	return ls
 }
 
-// fetch is called once per bundle fetch with the bundle's planned loop
-// (already resolved by the caller from the loopsFor table). It updates
-// the account's buffer state machine and reports whether this bundle
-// issues from the buffer, plus the loop's stats record.
-func (bs *bufferState) fetch(pl *PlannedLoop, fc *sched.FuncCode, pc int, s *sim, a *account) (bool, *LoopStats) {
-	if pl == nil {
-		if bs.cur != nil {
-			bs.leave(s, a, fc.F.Name, pc)
+// fetch is called once per bundle fetch at bundle pc of function fn,
+// at cycle now, with the bundle's planned loop i (already resolved by
+// the caller from the loopsFor table; -1 for none). It updates the
+// account's buffer state machine and reports whether this bundle
+// issues from the buffer, plus the loop's stats record. fn and now
+// only stamp events.
+func (bs *bufferState) fetch(i int32, fn string, pc int, now int64, a *account) (bool, *LoopStats) {
+	if i < 0 {
+		if bs.cur >= 0 {
+			bs.leave(fn, pc, now, a)
 		}
 		return false, nil
 	}
-	var ls *LoopStats
-	if pl == bs.cur {
-		ls = bs.curLS
-	} else {
-		ls = bs.lsOf(pl, a)
-	}
+	pl := bs.plan.Loops[i]
+	ls := bs.lsOf(i, a)
 	if pc == pl.StartBundle {
-		if bs.cur != pl {
-			if bs.cur != nil {
+		if bs.cur != i {
+			if bs.cur >= 0 {
 				// Falling directly from one buffered loop into another.
-				bs.leave(s, a, fc.F.Name, pc)
+				bs.leave(fn, pc, now, a)
 			}
 			// Entering the loop: the rec_[cw]loop op is fetched from
 			// global memory. It issues in the branch slot alongside the
@@ -136,32 +147,26 @@ func (bs *bufferState) fetch(pl *PlannedLoop, fc *sched.FuncCode, pc int, s *sim
 			ls.Entries++
 			a.stats.RecFetches++
 			a.stats.OpsIssued++
-			bs.cur = pl
-			s.open++
-			bs.curLS = ls
-			bs.enteredAt = s.now
-			i := bs.indexOf(pl)
+			bs.cur = i
+			bs.enteredAt = now
 			if bs.intact[i] {
 				// Hardware table: image already resident; replay at
 				// once, no re-recording.
 				bs.replaying = true
 				if a.ring != nil {
-					a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimLoopReplay,
-						Run: a.label, Func: fc.F.Name, PC: int32(pc), Loop: pl.Key()})
+					a.emit(obs.SimEvent{Cycle: now, Kind: obs.SimLoopReplay,
+						Func: fn, PC: int32(pc), Loop: pl.Key()})
 				}
 			} else {
 				bs.replaying = false
 				ls.Recordings++
 				if a.ring != nil {
-					a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimLoopRecord,
-						Run: a.label, Func: fc.F.Name, PC: int32(pc), Loop: pl.Key()})
+					a.emit(obs.SimEvent{Cycle: now, Kind: obs.SimLoopRecord,
+						Func: fn, PC: int32(pc), Loop: pl.Key()})
 				}
 				// Recording overwrites overlapping images.
 				for j, other := range bs.plan.Loops {
-					if j == i {
-						continue
-					}
-					if overlap(pl, other) {
+					if int32(j) != i && overlap(pl, other) {
 						bs.intact[j] = false
 					}
 				}
@@ -171,8 +176,8 @@ func (bs *bufferState) fetch(pl *PlannedLoop, fc *sched.FuncCode, pc int, s *sim
 			// Loop-back to the top: after the recording pass the image
 			// is in the buffer; replay from now on.
 			if !bs.replaying && a.ring != nil {
-				a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimLoopReplay,
-					Run: a.label, Func: fc.F.Name, PC: int32(pc), Loop: pl.Key()})
+				a.emit(obs.SimEvent{Cycle: now, Kind: obs.SimLoopReplay,
+					Func: fn, PC: int32(pc), Loop: pl.Key()})
 			}
 			bs.replaying = true
 		}
@@ -184,34 +189,47 @@ func (bs *bufferState) fetch(pl *PlannedLoop, fc *sched.FuncCode, pc int, s *sim
 	return bs.replaying, ls
 }
 
+// replay accounts n more trips of the loop streaming from the buffer,
+// each of tripOps ops: a head fetch that only counts a buffered
+// iteration, and the trip's ops from the buffer. It is n fetches of
+// the head once cur replays, counted instead of fetched.
+func (bs *bufferState) replay(n, tripOps int64, a *account) {
+	ls := bs.stats[bs.cur]
+	ls.Iterations += n
+	ls.BufferedIterations += n
+	ls.OpsBuffered += n * tripOps
+	a.stats.OpsFromBuffer += n * tripOps
+}
+
 // takenPenalty returns the redirect penalty for a taken branch with
 // the given loop-back flag and resolved target bundle.
-func (bs *bufferState) takenPenalty(fc *sched.FuncCode, pc int, loopBack bool, target int, s *sim, a *account) int64 {
-	if bs.cur != nil && loopBack && target == bs.cur.StartBundle {
+func (bs *bufferState) takenPenalty(fn string, pc int, loopBack bool, target int, now int64, a *account) int64 {
+	if bs.cur < 0 {
+		return bs.bp
+	}
+	if loopBack && target == bs.plan.Loops[bs.cur].StartBundle {
 		// Buffered loop-back: perfectly predicted.
 		return 0
 	}
-	if bs.cur != nil {
-		// Any other taken branch leaves the buffer.
-		bs.leave(s, a, fc.F.Name, pc)
-	}
-	return int64(s.code.Mach.BranchPenalty)
+	// Any other taken branch leaves the buffer.
+	bs.leave(fn, pc, now, a)
+	return bs.bp
 }
 
 // exitPenalty is charged when a loop-back branch falls through (loop
 // exit): counted loops predict the exit; wloops mispredict once.
-func (bs *bufferState) exitPenalty(fc *sched.FuncCode, pc int, loopBack bool, s *sim, a *account) int64 {
-	if bs.cur == nil || !loopBack {
+func (bs *bufferState) exitPenalty(fn string, pc int, loopBack bool, now int64, a *account) int64 {
+	if bs.cur < 0 || !loopBack {
 		return 0
 	}
 	wasReplaying := bs.replaying
-	counted := bs.cur.Counted
-	bs.leave(s, a, fc.F.Name, pc)
+	counted := bs.plan.Loops[bs.cur].Counted
+	bs.leave(fn, pc, now, a)
 	if counted {
 		return 0
 	}
 	if wasReplaying {
-		return int64(s.code.Mach.BranchPenalty)
+		return bs.bp
 	}
 	return 0
 }
@@ -219,28 +237,24 @@ func (bs *bufferState) exitPenalty(fc *sched.FuncCode, pc int, loopBack bool, s 
 // leave closes the current loop residency: emits the SimLoopExit
 // event (whose Arg carries the entry cycle, so exporters can render
 // residency as a time range) and clears the streaming state.
-func (bs *bufferState) leave(s *sim, a *account, fn string, pc int) {
-	if bs.cur != nil && a.ring != nil {
+func (bs *bufferState) leave(fn string, pc int, now int64, a *account) {
+	if bs.cur >= 0 && a.ring != nil {
 		aux := int64(0)
 		if bs.replaying {
 			aux = 1
 		}
-		a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimLoopExit,
-			Run: a.label, Func: fn, PC: int32(pc), Loop: bs.cur.Key(),
+		a.emit(obs.SimEvent{Cycle: now, Kind: obs.SimLoopExit,
+			Func: fn, PC: int32(pc), Loop: bs.plan.Loops[bs.cur].Key(),
 			Arg: bs.enteredAt, Aux: aux})
 	}
-	if bs.cur != nil {
-		s.open--
-	}
-	bs.cur = nil
-	bs.curLS = nil
+	bs.cur = -1
 	bs.replaying = false
 }
 
 // flushResidency closes a loop residency left open at end of run.
-func (bs *bufferState) flushResidency(s *sim, a *account) {
-	if bs.cur != nil {
-		bs.leave(s, a, bs.cur.Func, bs.cur.EndBundle)
+func (bs *bufferState) flushResidency(now int64, a *account) {
+	if pl := bs.loop(bs.cur); pl != nil {
+		bs.leave(pl.Func, pl.EndBundle, now, a)
 	}
 }
 

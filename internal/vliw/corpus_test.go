@@ -26,8 +26,12 @@ func TestCorpusReachesRegionRunner(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
+		w, err := c.Weights()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		before := entries
-		if _, err := vliw.Run(c.Code, loopbuffer.Plan(c.Code, c.Prof, capacity), vliw.Options{}); err != nil {
+		if _, err := vliw.Run(c.Code, loopbuffer.Plan(c.Code, w, capacity), vliw.Options{}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if entries > before {

@@ -64,6 +64,24 @@ type decodedFunc struct {
 	// for none); nil when the function has no regions.
 	regions    []region
 	regionHead []int32
+	// loops lists the function's loop sections (see sectionIsLoop) in
+	// layout order, and loopOf maps a bundle to the index of the loop
+	// section holding it (-1 for none); nil when there are none.
+	loops  []loopSection
+	loopOf []int32
+}
+
+// loopSection is one loop section of a decoded function: a
+// software-pipelined kernel or a straight self-loop, the sections the
+// buffer planner can plan.
+type loopSection struct {
+	start, end int32
+	// stages is a kernel's stage count, 1 for a self-loop: the loop's
+	// block runs stages-1 more times per entry than the section (the
+	// prologue and epilogue passes).
+	stages int64
+	// tripOps is the op count of one whole trip.
+	tripOps int64
 }
 
 // decodedOf returns the function's cached decode, building it on first
@@ -101,6 +119,7 @@ func decodeFunc(code *sched.Code, fc *sched.FuncCode) *decodedFunc {
 		markDirect(flat[start:n])
 		df.bundles[i] = dbundle{ops: flat[start:n:n], fall: int32(fc.FallTarget(i))}
 	}
+	buildLoops(df, fc)
 	buildRegions(df, fc)
 	return df
 }

@@ -10,15 +10,19 @@ import (
 	"lpbuf/internal/core"
 	"lpbuf/internal/loopbuffer"
 	"lpbuf/internal/obs"
+	"lpbuf/internal/obs/pmu"
 	"lpbuf/internal/vliw"
 )
 
 // TestFastPathDifferential pins the loop-replay kernel's bit-exactness
 // contract: for every Table 1 benchmark, both paper configurations and
-// three buffer capacities, a run with the pre-decoded fast path must
-// be indistinguishable from the interpretive path — same return value,
-// same final memory, same Stats (including per-loop buffer hit/miss
-// splits) and the same cycle-level obs event stream, event for event.
+// three buffer capacities, a live run with the pre-decoded fast path
+// must be indistinguishable from the interpretive path — same return
+// value, same final memory, same Stats (including per-loop buffer
+// hit/miss splits), the same PMU samples and the same cycle-level obs
+// event stream, event for event. Each capacity's plan folded over one
+// sampled plan-free execution must report the live run's Stats,
+// samples and counter-track series.
 func TestFastPathDifferential(t *testing.T) {
 	benches := suite.All()
 	capacities := []int{16, 64, 256}
@@ -36,14 +40,21 @@ func TestFastPathDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
+				x, err := vliw.Execute(c.Code, vliw.Options{PMU: sampling})
+				if err != nil {
+					t.Fatalf("execute: %v", err)
+				}
+				w := x.Weights()
 				for _, capacity := range capacities {
-					plan := loopbuffer.Plan(c.Code, c.Prof, capacity)
+					plan := loopbuffer.Plan(c.Code, w, capacity)
+					label := fmt.Sprintf("%s/%s@%d", b.Name, cfg.Name, capacity)
 					run := func(noFast bool) (*vliw.Result, *obs.Obs) {
 						o := obs.New(obs.Config{Metrics: true, SimEvents: true})
 						res, err := vliw.Run(c.Code, plan, vliw.Options{
 							Obs:        o,
-							TraceLabel: fmt.Sprintf("%s/%s@%d", b.Name, cfg.Name, capacity),
+							TraceLabel: label,
 							NoFastPath: noFast,
+							PMU:        sampling,
 						})
 						if err != nil {
 							t.Fatalf("capacity %d noFast=%v: %v", capacity, noFast, err)
@@ -70,6 +81,20 @@ func TestFastPathDifferential(t *testing.T) {
 							}
 						}
 					}
+					if !fast.Profile.Equal(slow.Profile) {
+						t.Errorf("capacity %d: samples differ (fast vs interpretive)", capacity)
+					}
+					fold, err := x.Fold(plan, label)
+					if err != nil {
+						t.Fatalf("capacity %d: fold: %v", capacity, err)
+					}
+					if !reflect.DeepEqual(fold.Stats, fast.Stats) {
+						t.Errorf("capacity %d: stats differ:\nfold: %+v\nlive: %+v",
+							capacity, fold.Stats, fast.Stats)
+					}
+					if !fold.Profile.Equal(fast.Profile) || !reflect.DeepEqual(series(fold), series(fast)) {
+						t.Errorf("capacity %d: fold's samples or series differ from the live run's", capacity)
+					}
 					if ft, st := fastObs.Sim.Total(), slowObs.Sim.Total(); ft != st {
 						t.Errorf("capacity %d: event totals differ: %d (fast) != %d (interpretive)",
 							capacity, ft, st)
@@ -89,4 +114,14 @@ func TestFastPathDifferential(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sampling is the differential tests' PMU clock: denser than the
+// default period, so short benchmarks still take samples.
+var sampling = &pmu.Config{Period: 512, Seed: 5}
+
+// series is a result's counter-track points.
+func series(r *vliw.Result) []pmu.Point {
+	d := pmu.NewDocument(pmu.Config{}, []*pmu.Profile{r.Profile})
+	return d.Profiles[0].Series
 }

@@ -40,29 +40,36 @@ func TestPMUSamplingDeterministic(t *testing.T) {
 	}
 }
 
-// TestPMUFastPathDifferential pins the tentpole property: the
-// region-replay fast path reconstructs exactly the samples the
-// interpretive path takes, for every plan in a batch.
+// TestPMUFastPathDifferential pins the sampling contract across the
+// executors: the region-replay fast path reconstructs exactly the
+// samples the interpretive path takes, and each plan folded over a
+// sampled plan-free execution, on either path, attributes them as its
+// live run does.
 func TestPMUFastPathDifferential(t *testing.T) {
 	prog := loopProgram(3000)
 	code, plan := compile(t, prog, 256, false)
 	plans := []*vliw.BufferPlan{plan, nil, {Capacity: 1}}
-	run := func(noFast bool) []*vliw.Result {
-		results, err := vliw.RunBatch(code, plans, vliw.BatchOptions{
-			Options: vliw.Options{
-				NoFastPath: noFast,
-				PMU:        &pmu.Config{Period: 512, Seed: 3},
-			},
-			Labels: []string{"p/replay@256", "p/nil@0", "p/tiny@1"},
-		})
+	labels := []string{"p/replay@256", "p/nil@0", "p/tiny@1"}
+	cfg := &pmu.Config{Period: 512, Seed: 3}
+	var folds [2]*vliw.Execution
+	for i, noFast := range []bool{false, true} {
+		x, err := vliw.Execute(code, vliw.Options{NoFastPath: noFast, PMU: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results
+		folds[i] = x
 	}
-	slow, fast := run(true), run(false)
-	for i := range slow {
-		sp, fp := slow[i].Profile, fast[i].Profile
+	var fast []*vliw.Result
+	for i, plan := range plans {
+		var live [2]*vliw.Result
+		for j, noFast := range []bool{false, true} {
+			r, err := vliw.Run(code, plan, vliw.Options{NoFastPath: noFast, PMU: cfg, TraceLabel: labels[i]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[j] = r
+		}
+		sp, fp := live[1].Profile, live[0].Profile
 		if sp == nil || fp == nil {
 			t.Fatalf("plan %d: missing profile (slow %v, fast %v)", i, sp != nil, fp != nil)
 		}
@@ -73,6 +80,17 @@ func TestPMUFastPathDifferential(t *testing.T) {
 			t.Fatalf("plan %d: interpretive and fast-path samples differ (%d vs %d)",
 				i, sp.Total(), fp.Total())
 		}
+		for j, x := range folds {
+			r, err := x.Fold(plan, labels[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Profile.Equal(fp) {
+				t.Fatalf("plan %d: fold of execution %d samples %d, live %d",
+					i, j, r.Profile.Total(), fp.Total())
+			}
+		}
+		fast = append(fast, live[0])
 	}
 	// The replay plan must attribute samples to the replay state; the
 	// nil plan can only ever see memory.
@@ -92,18 +110,24 @@ func TestPMUFastPathDifferential(t *testing.T) {
 	}
 }
 
-// TestPMUBatchPerPlanProfiles: one shared execution yields one profile
-// per plan, labeled, capacity-stamped, with the final cycle count.
-func TestPMUBatchPerPlanProfiles(t *testing.T) {
+// TestPMUFoldPerPlanProfiles: one sampled execution yields one profile
+// per folded plan, labeled, capacity-stamped, with the final cycle
+// count.
+func TestPMUFoldPerPlanProfiles(t *testing.T) {
 	prog := loopProgram(1500)
 	code, plan := compile(t, prog, 256, false)
 	labels := []string{"bench/a@256", "bench/b@0"}
-	results, err := vliw.RunBatch(code, []*vliw.BufferPlan{plan, nil}, vliw.BatchOptions{
-		Options: vliw.Options{PMU: &pmu.Config{}},
-		Labels:  labels,
-	})
+	x, err := vliw.Execute(code, vliw.Options{PMU: &pmu.Config{}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var results []*vliw.Result
+	for i, p := range []*vliw.BufferPlan{plan, nil} {
+		r, err := x.Fold(p, labels[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
 	}
 	for i, r := range results {
 		p := r.Profile
@@ -122,11 +146,15 @@ func TestPMUBatchPerPlanProfiles(t *testing.T) {
 			results[0].Profile.Capacity, results[1].Profile.Capacity)
 	}
 	// Disabled PMU yields no profiles at all.
-	results, err = vliw.RunBatch(code, []*vliw.BufferPlan{plan}, vliw.BatchOptions{})
+	x, err = vliw.Execute(code, vliw.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Profile != nil {
+	r, err := x.Fold(plan, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Profile != nil {
 		t.Fatal("profile present with PMU disabled")
 	}
 }

@@ -130,11 +130,11 @@ func TestRegionsQualify(t *testing.T) {
 				t.Fatalf("modulo=%v: opsUpTo[%d] = %d, want %d", modulo, n, r.opsUpTo[n], total)
 			}
 			// A loopbuffer-shaped plan must align (and an empty plan too).
-			bs := newBufferState(plan)
-			if pl2, ok := alignedPlan(bs.loopsFor(pl.Func), r); !ok || pl2 == nil {
+			bs := newBufferState(plan, 1)
+			if i, ok := alignedPlan(bs, bs.loopsFor(pl.Func), r); !ok || i < 0 {
 				t.Fatalf("modulo=%v: plan does not align with region for %s", modulo, pl.Key())
 			}
-			if pl2, ok := alignedPlan(nil, r); !ok || pl2 != nil {
+			if i, ok := alignedPlan(nil, nil, r); !ok || i >= 0 {
 				t.Fatalf("modulo=%v: empty plan should align (unplanned) for %s", modulo, pl.Key())
 			}
 		}

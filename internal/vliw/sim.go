@@ -160,23 +160,23 @@ type frame struct {
 	spill  []wbEntry
 }
 
-// account is one batched run's accounting context. The architectural
-// execution — registers, memory, control flow, guard outcomes, the
-// issue clock — is completely independent of buffer plans (plans affect
-// only fetch accounting: which bundles issue from the buffer, and which
-// redirects are predicted away). RunBatch exploits that by executing
-// the program once and folding every plan's statistics, penalties and
-// events through its own account as each bundle issues.
+// account is one buffer plan's accounting context: its buffer state
+// machine, statistics, redirect penalty, event sink and PMU profile. A
+// live run keeps one as it executes; a fold keeps one as it replays an
+// execution's trace. The architectural execution — registers, memory,
+// control flow, guard outcomes, the issue clock — is independent of
+// buffer plans: a plan affects only fetch accounting, which bundles
+// issue from the buffer and which redirects are predicted away.
 type account struct {
 	stats Stats
 	// penalty accumulates this plan's redirect bubbles. They add to the
 	// reported cycle count but never shift writebacks (which continue
-	// through fetch bubbles in a real pipeline), so accounts can diverge
-	// in penalty while sharing one issue clock.
+	// through fetch bubbles in a real pipeline), which is what lets one
+	// plan-free execution serve every plan.
 	penalty int64
 	buf     *bufferState
-	// ring is the cycle-level event sink (nil when disabled); label
-	// names the run in emitted events.
+	// ring is the cycle-level event sink (nil when disabled, and always
+	// in a fold); label names the run in emitted events.
 	ring  *obs.SimTrace
 	label string
 	// prof accumulates this plan's PMU samples (nil when sampling is
@@ -184,62 +184,163 @@ type account struct {
 	prof *pmu.Profile
 }
 
+// newAccount starts the accounting of plan on code's machine; sampled
+// gives it a PMU profile.
+func newAccount(code *sched.Code, plan *BufferPlan, label string, sampled bool) *account {
+	a := &account{buf: newBufferState(plan, int64(code.Mach.BranchPenalty)), label: label}
+	a.stats.Loops = map[string]*LoopStats{}
+	if sampled {
+		capacity := 0
+		if plan != nil {
+			capacity = plan.Capacity
+		}
+		a.prof = pmu.NewProfile(label, capacity)
+	}
+	return a
+}
+
+// emit stamps ev with the account's run label and emits it. Callers
+// check a.ring first, so a run without events builds none.
+func (a *account) emit(ev obs.SimEvent) {
+	ev.Run = a.label
+	a.ring.Emit(ev)
+}
+
+// count splits ops issued under one fetch verdict between the buffer
+// and memory, for the run and for the fetched loop.
+func (a *account) count(fromBuffer bool, ls *LoopStats, ops int64) {
+	if fromBuffer {
+		a.stats.OpsFromBuffer += ops
+		if ls != nil {
+			ls.OpsBuffered += ops
+		}
+	} else if ls != nil {
+		ls.OpsMemory += ops
+	}
+}
+
+// charge adds a redirect penalty of p cycles.
+func (a *account) charge(p int64) {
+	a.penalty += p
+	a.stats.BranchPenaltyCycles += p
+}
+
+// finish closes the run: the plan-independent counts join the
+// account's own, the cycle count takes the plan's redirects, and the
+// totals fold into reg (when non-nil).
+func (a *account) finish(shared sharedCounts, now int64, reg *obs.Registry) {
+	a.stats.OpsIssued += shared.issued
+	a.stats.OpsNullified += shared.nullified
+	a.charge(shared.penalty)
+	a.stats.Cycles = now + a.penalty
+	if reg != nil {
+		foldStats(reg, &a.stats)
+	}
+	if a.prof != nil {
+		a.prof.Cycles = a.stats.Cycles
+		if reg != nil {
+			reg.Counter("sim.pmu.samples").Add(a.prof.Total())
+			reg.Histogram("sim.pmu.samples_per_run").Observe(a.prof.Total())
+		}
+	}
+}
+
 type sim struct {
 	code *sched.Code
 	mem  []byte
 	// now is the semantic issue clock: exactly one bundle per tick, so
 	// the EQ-model writeback schedule is position-independent.
-	now int64
-	// accts holds one accounting context per buffer plan. Solo Run is a
-	// one-account batch, so every path below is the batch path.
-	accts []*account
-	opts  Options
+	now  int64
+	opts Options
 	// depth is the call depth of the executing activation.
 	depth int
 	// evScratch backs the region runner's batched SimIssue emission.
 	evScratch []obs.SimEvent
 	// framePool recycles activation frames per callee.
 	framePool map[*sched.FuncCode][]*frame
-	// fctx caches the per-function decode image and per-account
-	// plan/region alignment tables (see funcCtxOf in region.go).
+	// fctx caches the per-function decode image and the live plan's
+	// region alignment tables (see funcCtxOf in region.go).
 	fctx map[*sched.FuncCode]*funcCtx
-	// fromBuf/lss are the per-account verdicts of the region runner's
-	// current head fetch, sized len(accts) once so trips never allocate.
-	fromBuf []bool
-	lss     []*LoopStats
-	// pmu is the shared sampling clock (nil when sampling is off). One
-	// clock per batch: sample cycles are plan-independent, so every
-	// account profiles the same cycles of the one shared execution.
+	// pmu is the sampling clock (nil when sampling is off). Sample
+	// cycles are plan-independent, so every plan folded over one
+	// execution samples the same cycles.
 	pmu *pmu.Clock
-	// shared holds the counts every account makes alike, kept once per
-	// batch and added to each account's Stats at the end of the run.
+	// shared holds the counts every plan makes alike, added to the
+	// account's Stats at the end of the run.
 	shared sharedCounts
-	// open counts the accounts with a loop residency open.
-	open int
-	// rings reports that the accounts have a cycle-level event sink.
-	// Events are per account, so rings force the per-account path.
-	rings bool
+	// Exactly one of acct and rec is set. acct is a live run's
+	// accounting; rec records a plan-free execution's loop-level trace
+	// (see trace.go).
+	acct *account
+	rec  *recorder
 }
 
 // sharedCounts are the plan-independent parts of every account's Stats:
 // the ops bundles issue (an account's rec fetches stay its own), the ops
-// nullified, and the redirect penalties every account pays alike —
-// calls, returns, and taken branches while no account streams a loop.
-// Outside planned loops, with no residency open, an account's fetch
-// accounting is exactly these counts, so the per-account work runs
-// only where plans differ.
+// nullified, and the redirect penalties paid outside buffered loops —
+// calls, returns and taken branches. A plan-free execution keeps every
+// taken branch's penalty here; a fold takes back the ones its plan
+// predicts (see fold.go).
 type sharedCounts struct {
 	issued, nullified, penalty int64
 }
 
+// newSim prepares one simulation of code: memory initialized from the
+// program's globals and the run limits defaulted.
+func newSim(code *sched.Code, opts Options) (*sim, error) {
+	if w := wheelSize(code.Mach.Latency); w > wheelSlots {
+		return nil, fmt.Errorf("vliw: latency table needs a %d-slot writeback wheel (max %d)", w, wheelSlots)
+	}
+	s := &sim{
+		code:      code,
+		mem:       make([]byte, code.Prog.MemSize),
+		opts:      opts,
+		fctx:      map[*sched.FuncCode]*funcCtx{},
+		framePool: map[*sched.FuncCode][]*frame{},
+	}
+	if s.opts.MaxCycles == 0 {
+		s.opts.MaxCycles = 4e9
+	}
+	if s.opts.MaxDepth == 0 {
+		s.opts.MaxDepth = 256
+	}
+	if opts.PMU != nil {
+		s.pmu = pmu.NewClock(*opts.PMU)
+	}
+	for _, g := range code.Prog.Globals {
+		copy(s.mem[g.Offset:g.Offset+g.Size], g.Init)
+	}
+	return s, nil
+}
+
+// runEntry executes the program from its entry function.
+func (s *sim) runEntry() (int64, error) {
+	entry := s.code.Funcs[s.code.Prog.Entry]
+	if entry == nil {
+		return 0, fmt.Errorf("vliw: no entry function %q", s.code.Prog.Entry)
+	}
+	return s.run(entry)
+}
+
 // Run executes scheduled code from the program entry under one buffer
-// plan. It is a single-account batch — see RunBatch in batch.go.
+// plan, accounting every fetch as it issues: the live path, which emits
+// the cycle-level events of Options.Obs's ring. Runs without events
+// execute plan-free once and fold each plan instead (Execute, Fold).
 func Run(code *sched.Code, buffers *BufferPlan, opts Options) (*Result, error) {
-	rs, err := RunBatch(code, []*BufferPlan{buffers}, BatchOptions{Options: opts})
+	s, err := newSim(code, opts)
 	if err != nil {
 		return nil, err
 	}
-	return rs[0], nil
+	a := newAccount(code, buffers, opts.TraceLabel, s.pmu != nil)
+	a.ring = opts.Obs.SimRing()
+	s.acct = a
+	ret, err := s.runEntry()
+	if err != nil {
+		return nil, err
+	}
+	a.buf.flushResidency(s.now, a)
+	a.finish(s.shared, s.now, opts.Obs.Registry())
+	return &Result{Mem: s.mem, Ret: ret, Stats: a.stats, Profile: a.prof}, nil
 }
 
 // foldStats accumulates one run's totals into the metrics registry.
@@ -266,17 +367,17 @@ func foldStats(reg *obs.Registry, st *Stats) {
 	reg.Histogram("sim.cycles_per_run").Observe(st.Cycles)
 }
 
-// recordSample attributes one PMU sample for one account: the sampled
-// issue point maps to (func, loop, PC-bucket, buffer-state) and the
-// account's cumulative fetch/redirect counters become one counter-track
-// point. Shared by the interpretive per-bundle hook and the region
-// runner's analytic catch-up (sampleTrip) so attribution is
-// bit-identical on both paths — the differential PMU test pins that.
-// Counter-track values are cumulative as of the account's current
-// bookkeeping, which the fast path advances per trip rather than per
-// bundle; the attribution samples are exact either way, the series is
-// sampled by construction.
-func (s *sim) recordSample(a *account, fn string, pl *PlannedLoop, pc int32, cycle, ops int64, fromBuffer bool) {
+// sample attributes one PMU sample: the sampled issue point maps to
+// (func, loop, PC-bucket, buffer-state) and the account's cumulative
+// fetch/redirect counters, on top of the plan-independent counts
+// shared, become one counter-track point. Shared by the interpretive
+// per-bundle hook, the region runner's analytic catch-up (sampleTrip)
+// and the fold, so attribution is bit-identical on every path — the
+// differential PMU tests pin that. Counter-track values are cumulative
+// as of the account's current bookkeeping, which the fast path
+// advances per trip rather than per bundle; the attribution samples
+// are exact either way, the series is sampled by construction.
+func (a *account) sample(fn string, pl *PlannedLoop, pc int32, cycle, ops int64, fromBuffer bool, shared sharedCounts) {
 	if a.prof == nil {
 		return
 	}
@@ -291,9 +392,9 @@ func (s *sim) recordSample(a *account, fn string, pl *PlannedLoop, pc int32, cyc
 		}
 	}
 	a.prof.Record(fn, loopKey, loopLabel, pc, st, ops)
-	issued := a.stats.OpsIssued + s.shared.issued
+	issued := a.stats.OpsIssued + shared.issued
 	a.prof.Observe(cycle, a.stats.OpsFromBuffer, issued-a.stats.OpsFromBuffer,
-		a.stats.BranchPenaltyCycles+s.shared.penalty)
+		a.stats.BranchPenaltyCycles+shared.penalty)
 }
 
 // wheelSize returns the writeback-wheel size for a latency table: the
@@ -602,12 +703,16 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 		return 0, fmt.Errorf("vliw: call depth exceeded in %s", f.fc.F.Name)
 	}
 	fc := f.fc
-	// Per-activation hoists: the pre-decoded image and every account's
+	// Per-activation hoists: the pre-decoded image and the plan's
 	// planned-loop table are resolved once here, so the per-cycle path
 	// below indexes slices instead of probing string-keyed maps.
 	fx := s.funcCtxOf(fc)
 	df := fx.df
 	maxC := s.opts.MaxCycles
+	// prev is the bundle this activation fetched before pc (-1 at
+	// function entry): a loop section's head fetched from outside the
+	// section is an entry into its loop.
+	prev := -1
 	var sc scratch
 	for {
 		if s.now > maxC {
@@ -620,17 +725,17 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 		// Region fast path: at the head of a replayable region — a
 		// resident loop or a straight-line run — whole trips execute
 		// through the pre-decoded region runner (see region.go) with
-		// per-trip batched accounting for every account, provided each
-		// account's plan aligns with the region. The runner does the
-		// per-trip head fetch itself, so all buffer-state transitions
-		// (entry, record→replay, exit) happen exactly as interpretively.
+		// per-trip batched accounting, provided the plan aligns with the
+		// region. The runner does the per-trip head fetch itself, so all
+		// buffer-state transitions (entry, record→replay, exit) happen
+		// exactly as interpretively.
 		if !s.opts.NoFastPath && len(df.regionHead) > 0 {
 			if ri := df.regionHead[pc]; ri >= 0 && fx.regionUse[ri] {
-				next, err := s.runRegion(f, fx, int(ri), &sc)
+				next, last, err := s.runRegion(f, fx, int(ri), &sc, prev)
 				if err != nil {
 					return 0, err
 				}
-				pc = next
+				prev, pc = last, next
 				continue
 			}
 		}
@@ -643,16 +748,27 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 		// analytically per trip (see sampleTrip), so both paths sample
 		// identical cycles.
 		sample := s.pmu != nil && s.now >= s.pmu.Next()
-		// Per-account loop-buffer bookkeeping for this fetch, issue
-		// event, and fetch statistics (per-bundle sums: every op in the
-		// bundle counts as issued, nullified or not, from one fetch
-		// source). The issued ops are the same for every account; the
-		// rest is a no-op for an account outside any planned loop with
-		// no residency open, so the per-account loop runs only where some
-		// account's plan covers the bundle, a residency is open, events
-		// are on or a sample is due.
+		// The issued ops are the same under every plan. A plan-free
+		// execution records the fetch if it touches a loop section;
+		// a live run's fetch bookkeeping — buffer state machine, issue
+		// event, buffer split, sample — is a no-op outside planned
+		// loops with no residency open, so it runs only where the plan
+		// covers the bundle, a residency is open, events are on or a
+		// sample is due.
 		s.shared.issued += nOps
-		if sample || s.rings || s.open > 0 || (pc < len(fx.covered) && fx.covered[pc]) {
+		if s.rec != nil {
+			sec := int32(-1)
+			if df.loopOf != nil && df.loopOf[pc] >= 0 {
+				sec = fx.secBase + df.loopOf[pc]
+				s.rec.fetch(sec, pc, prev, nOps)
+			} else if s.rec.active {
+				s.rec.outside()
+			}
+			if sample {
+				s.rec.sample(fc, sec, int32(pc), s.now, nOps, s.shared)
+			}
+		} else if a := s.acct; sample || a.ring != nil || a.buf.streaming() ||
+			(pc < len(fx.tab) && fx.tab[pc] >= 0) {
 			s.fetchBundle(fc, fx, pc, nOps, sample)
 		}
 		if sample {
@@ -668,6 +784,7 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 		if sc.retired {
 			return sc.retVal, nil
 		}
+		prev = pc
 		if sc.callNext >= 0 {
 			pc = sc.callNext
 			s.tick(f)
@@ -687,39 +804,30 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 	}
 }
 
-// fetchBundle runs every account's fetch of bundle pc on the
-// interpretive path: its buffer state machine, issue event, buffer
-// statistics and, when due, its PMU sample.
+// fetchBundle runs a live run's fetch of bundle pc on the interpretive
+// path: its buffer state machine, issue event, buffer statistics and,
+// when due, its PMU sample.
 func (s *sim) fetchBundle(fc *sched.FuncCode, fx *funcCtx, pc int, nOps int64, sample bool) {
-	for ai, a := range s.accts {
-		var pl *PlannedLoop
-		if tab := fx.tabs[ai]; pc < len(tab) {
-			pl = tab[pc]
-		}
-		fromBuffer, ls := false, (*LoopStats)(nil)
-		if pl != nil || a.buf.cur != nil {
-			fromBuffer, ls = a.buf.fetch(pl, fc, pc, s, a)
-		}
-		if a.ring != nil {
-			aux := int64(0)
-			if fromBuffer {
-				aux = 1
-			}
-			a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimIssue,
-				Run: a.label, Func: fc.F.Name, PC: int32(pc),
-				Arg: nOps, Aux: aux})
-		}
+	a := s.acct
+	i := int32(-1)
+	if pc < len(fx.tab) {
+		i = fx.tab[pc]
+	}
+	fromBuffer, ls := false, (*LoopStats)(nil)
+	if i >= 0 || a.buf.streaming() {
+		fromBuffer, ls = a.buf.fetch(i, fc.F.Name, pc, s.now, a)
+	}
+	if a.ring != nil {
+		aux := int64(0)
 		if fromBuffer {
-			a.stats.OpsFromBuffer += nOps
-			if ls != nil {
-				ls.OpsBuffered += nOps
-			}
-		} else if ls != nil {
-			ls.OpsMemory += nOps
+			aux = 1
 		}
-		if sample {
-			s.recordSample(a, fc.F.Name, pl, int32(pc), s.now, nOps, fromBuffer)
-		}
+		a.emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimIssue,
+			Func: fc.F.Name, PC: int32(pc), Arg: nOps, Aux: aux})
+	}
+	a.count(fromBuffer, ls, nOps)
+	if sample {
+		a.sample(fc.F.Name, a.buf.loop(i), int32(pc), s.now, nOps, fromBuffer, s.shared)
 	}
 }
 
@@ -978,11 +1086,9 @@ func (s *sim) execCall(f *frame, d *dop, pc int, df *decodedFunc) (int64, int, e
 	s.now++
 	bp := int64(s.code.Mach.BranchPenalty)
 	s.shared.penalty += bp
-	if s.rings {
-		for _, a := range s.accts {
-			a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimCall,
-				Run: a.label, Func: d.op.Callee, PC: int32(pc)})
-		}
+	if a := s.acct; a != nil && a.ring != nil {
+		a.emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimCall,
+			Func: d.op.Callee, PC: int32(pc)})
 	}
 	s.depth++
 	rv, err := s.exec(nf, 0)
@@ -995,11 +1101,9 @@ func (s *sim) execCall(f *frame, d *dop, pc int, df *decodedFunc) (int64, int, e
 	// the callee's cycles; land everything now due before resuming.
 	s.drainDue(f)
 	s.shared.penalty += bp
-	if s.rings {
-		for _, a := range s.accts {
-			a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimRet,
-				Run: a.label, Func: d.op.Callee, PC: int32(pc)})
-		}
+	if a := s.acct; a != nil && a.ring != nil {
+		a.emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimRet,
+			Func: d.op.Callee, PC: int32(pc)})
 	}
 	// Resume after the call bundle.
 	next := int(df.bundles[pc].fall)
@@ -1013,48 +1117,51 @@ func (s *sim) execCall(f *frame, d *dop, pc int, df *decodedFunc) (int64, int, e
 // taken branch in slot order wins (the schedule guarantees at most one
 // is truly taken); untaken loop-backs charge their exit penalty on the
 // way. Returns the winning target bundle, or -2 for fallthrough.
-// Branch decisions are architectural (identical for every account);
-// penalties and buffer-state transitions are per-account — a plan that
+// Branch decisions are architectural (identical under every plan);
+// penalties and buffer-state transitions are the plan's — a plan that
 // keeps the loop resident predicts its loop-back for free while an
-// unplanned account pays the redirect, on the same control transfer.
-// With no residency open every account pays a taken branch alike and
-// no exit costs anything, so without events the penalty is shared.
+// unplanned one pays the redirect, on the same control transfer. A
+// plan-free execution charges every taken branch and, while loops are
+// active, records the branch for the folds. A live run with no
+// residency open and no events pays a taken branch as every plan does.
 // Shared by the interpretive loop and the region runner's exit path so
 // both charge bit-identical penalties and emit identical redirects.
 func (s *sim) resolveControl(fc *sched.FuncCode, pc int, sc *scratch) int {
 	next := -2
+	a := s.acct
 	for _, ba := range sc.branches {
 		if !ba.taken {
 			// Untaken loop-back: loop exit.
-			if s.open == 0 {
-				continue
-			}
-			for _, a := range s.accts {
-				p := a.buf.exitPenalty(fc, pc, ba.d.loopBack, s, a)
-				a.penalty += p
-				a.stats.BranchPenaltyCycles += p
-				if p > 0 && a.ring != nil {
-					a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimRedirect,
-						Run: a.label, Func: fc.F.Name, PC: int32(pc), Arg: p})
-				}
+			if a == nil {
+				s.rec.exit()
+			} else if a.buf.streaming() {
+				s.redirect(fc, pc, a.buf.exitPenalty(fc.F.Name, pc, ba.d.loopBack, s.now, a))
 			}
 			continue
 		}
 		next = int(ba.d.target)
-		if s.open == 0 && !s.rings {
+		if a == nil {
+			s.shared.penalty += int64(s.code.Mach.BranchPenalty)
+			s.rec.taken(ba.d.loopBack, next)
+			break
+		}
+		if !a.buf.streaming() && a.ring == nil {
 			s.shared.penalty += int64(s.code.Mach.BranchPenalty)
 			break
 		}
-		for _, a := range s.accts {
-			p := a.buf.takenPenalty(fc, pc, ba.d.loopBack, int(ba.d.target), s, a)
-			a.penalty += p
-			a.stats.BranchPenaltyCycles += p
-			if p > 0 && a.ring != nil {
-				a.ring.Emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimRedirect,
-					Run: a.label, Func: fc.F.Name, PC: int32(pc), Arg: p})
-			}
-		}
+		s.redirect(fc, pc, a.buf.takenPenalty(fc.F.Name, pc, ba.d.loopBack, next, s.now, a))
 		break
 	}
 	return next
+}
+
+// redirect charges a live run's redirect penalty p at bundle pc and
+// emits its event.
+func (s *sim) redirect(fc *sched.FuncCode, pc int, p int64) {
+	a := s.acct
+	a.charge(p)
+	if p > 0 && a.ring != nil {
+		a.emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimRedirect,
+			Func: fc.F.Name, PC: int32(pc), Arg: p})
+	}
 }

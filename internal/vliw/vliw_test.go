@@ -8,7 +8,6 @@ import (
 	"lpbuf/internal/ir/irbuild"
 	"lpbuf/internal/loopbuffer"
 	"lpbuf/internal/machine"
-	"lpbuf/internal/profile"
 	"lpbuf/internal/sched"
 	"lpbuf/internal/vliw"
 )
@@ -50,17 +49,15 @@ func loopProgram(trips int64) *ir.Program {
 // compile schedules and plans a program with the given buffer size.
 func compile(t testing.TB, prog *ir.Program, bufOps int, modulo bool) (*sched.Code, *vliw.BufferPlan) {
 	t.Helper()
-	prof := profile.New()
-	if _, err := interp.Run(prog, interp.Options{Profile: prof}); err != nil {
-		t.Fatal(err)
-	}
-	prof.ApplyWeights(prog)
 	code, err := sched.Schedule(prog, machine.Default(), sched.Options{EnableModulo: modulo})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := loopbuffer.Plan(code, prof, bufOps)
-	return code, plan
+	x, err := vliw.Execute(code, vliw.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, loopbuffer.Plan(code, x.Weights(), bufOps)
 }
 
 func TestBufferRecordThenReplay(t *testing.T) {
