@@ -10,7 +10,7 @@ BENCH_COUNT ?= 5
 BASE ?= HEAD~1
 
 
-.PHONY: build test race bench bench-headline bench-pair benchdiff baselines fmt vet
+.PHONY: build test race bench bench-headline bench-pair figures-pair benchdiff baselines fmt vet
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,8 @@ race:
 
 # bench regenerates BENCH_simulator.json (schema lpbuf/bench/v2): the
 # Figure 7 benchmarks, the simulator throughput benches
-# (SimulatorThroughput, SimsPerSec and its PMU-sampling twin) and the
+# (SimulatorThroughput, SimsPerSec and SimsPerSecPMU, which alternates
+# sampled and unsampled sweeps) and the
 # per-layer Interp and ModuloHeuristic benches, each
 # sampled in BENCH_COUNT fresh processes so in-process caches cannot
 # flatter the numbers and benchdiff gets real per-metric variance.
@@ -49,6 +50,23 @@ bench-pair:
 	status=$$?; cd ..; git worktree remove --force .benchdiff-base; \
 	exit $$status
 	./bin/benchjson -benchtime 1x -count $(BENCH_COUNT) -out bench-new.json
+
+# figures-pair builds lpbuf at BASE (default HEAD~1) in a detached
+# worktree and at the current tree, runs -all with each into
+# figures-old.txt and figures-new.txt, and fails unless the two are
+# byte-identical. CI's perf-gate runs it against the pull request's
+# base; a change that moves a figure on purpose re-records baselines/.
+figures-pair:
+	@rm -rf .figures-base
+	@mkdir -p bin
+	git worktree add --detach .figures-base $(BASE)
+	cd .figures-base && $(GO) build -o ../bin/lpbuf-base ./cmd/lpbuf; \
+	status=$$?; cd ..; git worktree remove --force .figures-base; \
+	exit $$status
+	$(GO) build -o bin/lpbuf ./cmd/lpbuf
+	./bin/lpbuf-base -all > figures-old.txt
+	./bin/lpbuf -all > figures-new.txt
+	cmp figures-old.txt figures-new.txt
 
 # benchdiff runs bench-pair and the statistical comparison, ratio rows
 # included; since both sides ran on this host, wall-clock rows gate too.

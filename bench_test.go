@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"lpbuf/internal/bench/suite"
 	"lpbuf/internal/core"
@@ -302,27 +303,17 @@ func BenchmarkModuloHeuristic(b *testing.B) {
 // noise. The pair's ns/op, B/op and allocs/op cover all the sweeps.
 const sweepsPerIter = 8
 
-// BenchmarkSimsPerSec measures sustained batched-sweep throughput in
-// verified simulations per second: each iteration runs the heaviest
-// benchmark's full Figure 7 buffer sweep sweepsPerIter times through
-// the batch engine (core.RunSweep → vliw.RunBatch), the workload lpbufd
+// BenchmarkSimsPerSec measures sustained sweep throughput in verified
+// simulations per second: each iteration runs the heaviest benchmark's
+// full Figure 7 buffer sweep sweepsPerIter times (core.RunSweep: one
+// plan-free execution, then a fold per capacity), the workload lpbufd
 // jobs and figure regenerations are made of. It compiles directly
 // through core — bypassing the suite's run cache — so every sweep
 // simulates for real. benchdiff holds its sims/sec to a 10%
 // higher-is-better band against the previous run (perfgate's sims/sec
 // policy).
 func BenchmarkSimsPerSec(b *testing.B) {
-	bm, ok := suite.ByName("g724enc")
-	if !ok {
-		b.Fatal("g724enc missing from the benchmark table")
-	}
-	cfg := core.Aggressive(256)
-	cfg.Name = "aggressive"
-	cfg.TraceLabel = "g724enc"
-	c, err := core.Compile(bm.Build(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := simsPerSecCompile(b, nil)
 	b.ResetTimer()
 	sims := 0
 	for i := 0; i < b.N*sweepsPerIter; i++ {
@@ -335,39 +326,63 @@ func BenchmarkSimsPerSec(b *testing.B) {
 	b.ReportMetric(float64(sims)/b.Elapsed().Seconds(), "sims/sec")
 }
 
-// BenchmarkSimsPerSecPMU is BenchmarkSimsPerSec with guest-PMU
-// sampling at the default period, sweepsPerIter sweeps per iteration. benchdiff reads the pair as
-// perfgate's SimsPerSecPMU/SimsPerSec ratio row: within one artifact,
-// sampling may cost at most 10% of the sampling-off sims/sec.
+// BenchmarkSimsPerSecPMU measures what guest-PMU sampling at the
+// default period costs a sweep. Each iteration runs sweepsPerIter
+// sweeps of BenchmarkSimsPerSec's compile, alternating sampled and
+// unsampled ones in one process so host drift and warm-up hit both
+// alike, and reports the sampled rate as sims/sec and the unsampled
+// one as unsampled-sims/sec. benchdiff reads the two as perfgate's
+// SimsPerSecPMU ratio row: sampling may cost at most 10% of the
+// unsampled rate.
 func BenchmarkSimsPerSecPMU(b *testing.B) {
-	bm, ok := suite.ByName("g724enc")
-	if !ok {
-		b.Fatal("g724enc missing from the benchmark table")
-	}
-	cfg := core.Aggressive(256)
-	cfg.Name = "aggressive"
-	cfg.TraceLabel = "g724enc"
-	cfg.PMU = &pmu.Config{}
-	c, err := core.Compile(bm.Build(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sampled := simsPerSecCompile(b, &pmu.Config{})
+	unsampled := *sampled
+	unsampled.Config.PMU = nil
 	b.ResetTimer()
-	sims := 0
+	var on, off time.Duration
+	simsOn, simsOff := 0, 0
 	samples := int64(0)
 	for i := 0; i < b.N*sweepsPerIter; i++ {
+		c := sampled
+		if i%2 == 1 {
+			c = &unsampled
+		}
+		start := time.Now()
 		results, err := c.RunSweep(experiments.BufferSizes)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sims += len(results)
-		samples = 0
-		for _, r := range results {
-			if r.Profile != nil {
+		if c == sampled {
+			on += time.Since(start)
+			simsOn += len(results)
+			samples = 0
+			for _, r := range results {
 				samples += r.Profile.Total()
 			}
+		} else {
+			off += time.Since(start)
+			simsOff += len(results)
 		}
 	}
-	b.ReportMetric(float64(sims)/b.Elapsed().Seconds(), "sims/sec")
+	b.ReportMetric(float64(simsOn)/on.Seconds(), "sims/sec")
+	b.ReportMetric(float64(simsOff)/off.Seconds(), "unsampled-sims/sec")
 	b.ReportMetric(float64(samples), "samples/sweep")
+}
+
+// simsPerSecCompile compiles the SimsPerSec benchmarks' program,
+// g724enc under the aggressive config, with sampling cfg (nil: off).
+func simsPerSecCompile(b *testing.B, cfg *pmu.Config) *core.Compiled {
+	bm, ok := suite.ByName("g724enc")
+	if !ok {
+		b.Fatal("g724enc missing from the benchmark table")
+	}
+	cc := core.Aggressive(256)
+	cc.Name = "aggressive"
+	cc.TraceLabel = "g724enc"
+	cc.PMU = cfg
+	c, err := core.Compile(bm.Build(), cc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
 }

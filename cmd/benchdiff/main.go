@@ -7,8 +7,9 @@
 //     significance, per-metric tolerance bands — prints a
 //     benchstat-style table and exits 1 on any significant regression.
 //     The same table carries perfgate's ratio rows, read within the new
-//     artifact alone: SimsPerSecPMU/SimsPerSec fails when guest-PMU
-//     sampling costs more than 10% of sims/sec. Across environments,
+//     artifact alone: SimsPerSecPMU's sampled/unsampled row fails when
+//     guest-PMU sampling costs more than 10% of the unsampled sweeps it
+//     alternates with. Across environments,
 //     wall-clock rows stay advisory and deterministic rows still gate.
 //   - `benchdiff -metrics old.json new.json` diffs the registry
 //     sections of two lpbuf.metrics/v1 snapshots (counter/gauge/

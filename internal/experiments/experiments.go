@@ -40,7 +40,7 @@ var BufferSizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048}
 type Cache struct {
 	compiles memo[string, *core.Compiled]
 	runs     memo[string, *Run]
-	// sweeps shares one batched simulation among concurrent identical
+	// sweeps shares one sweep's simulation among concurrent identical
 	// RunSweepAt calls; its Runs also land in runs.
 	sweeps memo[string, []*Run]
 	// refs holds one reference run per benchmark, shared read-only by
@@ -300,11 +300,12 @@ func (s *Suite) RunAt(name, cfg string, bufferOps int) (*Run, error) {
 }
 
 // RunSweepAt runs one benchmark/config across a whole buffer sweep as
-// ONE batched simulation (core.RunSweep → vliw.RunBatch): the program
-// executes once and its statistics are accounted under every capacity,
-// so a Figure 7 sweep costs one simulation instead of len(sizes). The
-// per-size Runs land in the same memo RunAt uses (sweep stats are
-// bit-identical to solo stats — the batch engine's contract), so
+// ONE simulation (core.RunSweep: vliw.Execute, then a vliw fold per
+// capacity): the program executes once and its statistics are
+// accounted under every capacity, so a Figure 7 sweep costs one
+// simulation instead of len(sizes). The per-size Runs land in the same
+// memo RunAt uses (a fold's stats are bit-identical to a live run's —
+// the fold-vs-live contract), so
 // sweeps and point queries serve each other's hits; a sweep whose
 // every size is cached simulates nothing. Results come back in sizes
 // order.
@@ -335,7 +336,7 @@ func (s *Suite) RunSweepAt(name, cfg string, sizes []int) ([]*Run, error) {
 	return out, nil
 }
 
-// sweep is the batched simulation behind RunSweepAt. A size that a
+// sweep is the simulation behind RunSweepAt. A size that a
 // RunAt cached first keeps that Run, so the memo stays pointer-stable
 // for both callers.
 func (s *Suite) sweep(name, cfg string, sizes []int) ([]*Run, error) {
@@ -347,7 +348,7 @@ func (s *Suite) sweep(name, cfg string, sizes []int) ([]*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The batch shares one final memory image; checking it once
+	// The sweep's runs share one final memory image; checking it once
 	// checks every capacity's run.
 	if err := b.Check(results[0].Mem); err != nil {
 		return nil, fmt.Errorf("%s/%s sweep: output check: %w", name, cfg, err)

@@ -49,8 +49,8 @@ func (s *Suite) simulateJob(name, cfg string, bufferOps int) (*Run, error) {
 }
 
 // Figure7Ctx is Figure7 with caller-controlled cancellation. Each
-// benchmark's sweep is one batched simulate job — the program executes
-// once and is accounted at every buffer size — so the figure records
+// benchmark's sweep is one simulate job — the program executes once
+// and is accounted at every buffer size — so the figure records
 // 11 compiles and 11 sweep simulates however many sizes the sweep
 // covers.
 func (s *Suite) Figure7Ctx(ctx context.Context, cfg string, sizes []int) ([]Fig7Row, error) {

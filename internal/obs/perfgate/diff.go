@@ -40,11 +40,14 @@ func DefaultPolicies() map[string]Policy {
 		"ns/op":     {Tol: 0.05, Dir: LowerIsBetter},
 		"B/op":      {Tol: 0.03, Dir: LowerIsBetter},
 		"allocs/op": {Tol: 0.01, Dir: LowerIsBetter},
-		// sims/sec is the batch engine's sustained throughput
+		// sims/sec is the sweep's sustained throughput
 		// (BenchmarkSimsPerSec): wall-clock derived, so it gets a noise
 		// band and the significance gate like ns/op, but higher is
 		// better.
 		"sims/sec": {Tol: 0.10, Dir: HigherIsBetter},
+		// unsampled-sims/sec is BenchmarkSimsPerSecPMU's sampling-off
+		// rate, measured between its sampled sweeps: sims/sec's band.
+		"unsampled-sims/sec": {Tol: 0.10, Dir: HigherIsBetter},
 		// ns/ir-op is BenchmarkInterp's wall clock per interpreted IR
 		// op, and ns/kernel BenchmarkModuloHeuristic's per pipelined
 		// kernel: noise bands like ns/op's.
@@ -54,17 +57,22 @@ func DefaultPolicies() map[string]Policy {
 }
 
 // ratioPolicies are the policy rows Compare reads within the new
-// artifact alone: Bench's Metric samples are judged against Base's
-// under Policy, with Base in the old column. Both sides come from one
-// run, so the row needs no recorded baseline and holds on any host.
+// artifact alone: Bench's Metric samples are judged against its Base
+// metric's under Policy, with Base in the old column. Both sides come
+// from one benchmark that alternates the two measurements, so the row
+// needs no recorded baseline, holds on any host and sees no drift
+// between them.
 var ratioPolicies = []struct {
-	Bench, Base, Metric string
+	Bench, Metric, Base string
 	Policy
 }{
 	// Guest-PMU sampling at its default period may cost at most 10% of
-	// the sampling-off batch throughput.
-	{"SimsPerSecPMU", "SimsPerSec", "sims/sec", Policy{Tol: 0.10, Dir: HigherIsBetter}},
+	// the unsampled sweep throughput measured beside it.
+	{"SimsPerSecPMU", "sims/sec", "unsampled-sims/sec", Policy{Tol: 0.10, Dir: HigherIsBetter}},
 }
+
+// ratioRowName names a ratio row's bench column.
+func ratioRowName(bench string) string { return bench + ":sampled/unsampled" }
 
 // policyFor resolves the policy for one metric: explicit override,
 // then the defaults table, then the deterministic-exact fallback for
@@ -175,7 +183,7 @@ func (r *Report) Regressions() int {
 }
 
 // Compare diffs two artifacts metric by metric, then appends one row
-// per ratio policy whose two benchmarks the new artifact carries. Row
+// per ratio policy whose two metrics the new artifact carries. Row
 // order follows the old artifact's benchmark order (new-only
 // benchmarks append at the end), with metrics sorted within a
 // benchmark. When the environments differ, old-vs-new rows of noisy
@@ -209,12 +217,12 @@ func Compare(old, cur *BenchArtifact, opts Options) *Report {
 		}
 	}
 	for _, rp := range ratioPolicies {
-		bench, base := cur.Result(rp.Bench), cur.Result(rp.Base)
-		if bench == nil || base == nil || bench.Samples[rp.Metric] == nil || base.Samples[rp.Metric] == nil {
+		bench := cur.Result(rp.Bench)
+		if bench == nil || bench.Samples[rp.Metric] == nil || bench.Samples[rp.Base] == nil {
 			continue
 		}
-		row := compareMetric(rp.Bench+"/"+rp.Base, rp.Metric, rp.Policy,
-			base.Samples[rp.Metric], bench.Samples[rp.Metric], opts, false)
+		row := compareMetric(ratioRowName(rp.Bench), rp.Metric, rp.Policy,
+			bench.Samples[rp.Base], bench.Samples[rp.Metric], opts, false)
 		row.Note = strings.TrimSuffix("within new artifact; "+row.Note, "; ")
 		rep.Rows = append(rep.Rows, row)
 	}

@@ -381,12 +381,20 @@ func TestSimsPerSecGate(t *testing.T) {
 }
 
 // TestPMUOverheadRatioRow: the sampled PMU's cost is a ratio row read
-// within the new artifact — SimsPerSecPMU may trail SimsPerSec by at
-// most 10% — that prints in the table and counts as a regression, and
-// is absent when either benchmark is.
+// within the new artifact — SimsPerSecPMU's sampled sims/sec may trail
+// the unsampled-sims/sec it alternates with by at most 10% — that
+// prints in the table and counts as a regression, and is absent when
+// either metric is.
 func TestPMUOverheadRatioRow(t *testing.T) {
 	env := Env{Go: "go1.24", OS: "linux", Arch: "amd64", NumCPU: 8}
 	off := []float64{100, 101, 99, 100, 102}
+	pmuArt := func(metrics map[string][]float64) *BenchArtifact {
+		metrics["ns/op"] = []float64{1e9, 1e9, 1e9, 1e9, 1e9}
+		art := artifact(map[string]map[string][]float64{"SimsPerSecPMU": metrics})
+		art.Env = env
+		return art
+	}
+	rowName := ratioRowName("SimsPerSecPMU")
 	for _, c := range []struct {
 		name string
 		on   []float64
@@ -398,27 +406,27 @@ func TestPMUOverheadRatioRow(t *testing.T) {
 		// Old and new are the same run, so every old-vs-new row is ok
 		// and only the ratio row can fail. A -tol override of sims/sec
 		// widens those rows, never the ratio's fixed budget.
-		art := simsPerSec(env, map[string][]float64{"SimsPerSec": off, "SimsPerSecPMU": c.on})
+		art := pmuArt(map[string][]float64{"sims/sec": c.on, "unsampled-sims/sec": off})
 		for _, opts := range []Options{{}, {Policies: map[string]Policy{"sims/sec": {Tol: 0.5, Dir: HigherIsBetter}}}} {
 			rep := Compare(art, art, opts)
-			row := findRow(t, rep, "SimsPerSecPMU/SimsPerSec", "sims/sec")
+			row := findRow(t, rep, rowName, "sims/sec")
 			if row.Verdict != c.want || row.Old.Median != 100 {
 				t.Errorf("%s: ratio row = %+v, want verdict %s against the 100 sims/sec base", c.name, row, c.want)
 			}
 			if wantReg := c.want == VerdictRegression; (rep.Regressions() == 1) != wantReg {
 				t.Errorf("%s: Regressions() = %d:\n%s", c.name, rep.Regressions(), rep.Render())
 			}
-			if out := rep.Render(); !strings.Contains(out, "SimsPerSecPMU/SimsPerSec") {
+			if out := rep.Render(); !strings.Contains(out, rowName) {
 				t.Errorf("%s: ratio row missing from the table:\n%s", c.name, out)
 			}
 		}
 	}
-	for _, missing := range []string{"SimsPerSec", "SimsPerSecPMU"} {
-		benches := map[string][]float64{"SimsPerSec": off, "SimsPerSecPMU": {85, 86, 84, 85, 87}}
-		delete(benches, missing)
-		art := simsPerSec(env, benches)
+	for _, missing := range []string{"sims/sec", "unsampled-sims/sec"} {
+		metrics := map[string][]float64{"sims/sec": {85, 86, 84, 85, 87}, "unsampled-sims/sec": off}
+		delete(metrics, missing)
+		art := pmuArt(metrics)
 		for _, row := range Compare(art, art, Options{}).Rows {
-			if strings.Contains(row.Bench, "/") {
+			if row.Bench == rowName {
 				t.Errorf("without %s: unexpected ratio row %+v", missing, row)
 			}
 		}

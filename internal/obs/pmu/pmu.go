@@ -5,14 +5,14 @@
 // program take samples at identical cycles) fires on the simulator's
 // issue clock; each sample is attributed to (function, planned loop,
 // PC bucket, buffer state) and accumulated per buffer plan, so one
-// shared batched execution (vliw.RunBatch) yields N per-plan profiles
+// plan-free execution (vliw.Execute) yields a profile per folded plan
 // at a bounded, measurable cost instead of per-event tracing.
 //
 // The contract that makes this a PMU and not a debug mode: with
 // sampling disabled the simulator hot path stays zero-alloc (a nil
 // check per bundle), and at the default period the enabled cost is
-// bounded: benchdiff's SimsPerSecPMU/SimsPerSec row fails when
-// sampling costs more than 10% of sims/sec.
+// bounded: benchdiff's SimsPerSecPMU sampled/unsampled row fails when
+// sampling costs more than 10% of the unsampled sweep rate.
 //
 // Profiles export three ways: a versioned lpbuf.simprofile/v1 JSON
 // document, collapsed-stack (flamegraph) text, and Perfetto counter
@@ -174,7 +174,7 @@ type cell struct {
 
 // Profile accumulates one plan's samples over one (or more) runs.
 // Methods are not safe for concurrent use; the simulator owns a
-// profile for the duration of a batch.
+// profile for the duration of a run or a fold.
 type Profile struct {
 	// Label names the run this profile accounts ("bench/config@ops").
 	Label string

@@ -212,8 +212,8 @@ func WriteChromeTraceCounters(w io.Writer, t *Trace, sim *SimTrace, counters []C
 	}
 	// Counter tracks land on the simulator pid: phase "C" events whose
 	// single "value" arg Perfetto plots as a per-(name, tid) graph. The
-	// run label is folded into the name so per-plan tracks of a batched
-	// sweep do not merge into one series.
+	// run label is folded into the name so per-plan tracks of a sweep
+	// do not merge into one series.
 	for i, cs := range counters {
 		name := cs.Name
 		if cs.Run != "" {

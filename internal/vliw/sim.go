@@ -80,9 +80,10 @@ type Options struct {
 	// MaxDepth bounds call depth (0 = 256).
 	MaxDepth int
 	// Obs enables observability: cycle-level events into Obs.Sim's
-	// bounded ring and post-run counter folding into Obs.Reg. Nil (or
-	// nil fields) disables each sink; the hot loop then pays only nil
-	// checks (see BenchmarkSimObsDisabled).
+	// bounded ring (live runs only) and post-run counter folding into
+	// Obs.Reg (each live run or fold). Nil (or nil fields) disables each
+	// sink; the hot loop then pays only nil checks (see
+	// BenchmarkSimObsDisabled).
 	Obs *obs.Obs
 	// TraceLabel names this run in emitted events (e.g.
 	// "g724dec/aggressive@64").
@@ -95,8 +96,9 @@ type Options struct {
 	NoFastPath bool
 	// PMU enables the sampling performance-monitoring unit: a
 	// deterministic jittered clock fires on the issue clock and each
-	// firing attributes one sample per account to (func, loop,
-	// PC-bucket, buffer-state), yielding Result.Profile. Nil disables
+	// firing attributes one sample of the run's plan (of every plan
+	// folded over an execution) to (func, loop, PC-bucket,
+	// buffer-state), yielding Result.Profile. Nil disables
 	// sampling entirely — the hot path then pays one nil check per
 	// bundle and allocates nothing (pinned by the obs alloc test).
 	PMU *pmu.Config
