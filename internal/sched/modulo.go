@@ -33,15 +33,15 @@ type KernelSchedule struct {
 // slot reserved at cycle II-1 for the loop-back branch. A nil result
 // means "do not pipeline this loop".
 type ModuloScheduler interface {
-	ScheduleLoop(d *DAG, m *machine.Desc, maxII int) *KernelSchedule
+	ScheduleLoop(d *DAG, m *machine.Desc) *KernelSchedule
 }
 
 // heuristicBackend adapts ModuloSchedule (iterative modulo scheduling)
 // to the ModuloScheduler interface; it is the default backend.
 type heuristicBackend struct{}
 
-func (heuristicBackend) ScheduleLoop(d *DAG, m *machine.Desc, maxII int) *KernelSchedule {
-	return ModuloSchedule(d, m, maxII)
+func (heuristicBackend) ScheduleLoop(d *DAG, m *machine.Desc) *KernelSchedule {
+	return ModuloSchedule(d, m, 0)
 }
 
 // Heuristic returns the default iterative-modulo-scheduling backend as

@@ -134,7 +134,7 @@ func (s *Scheduler) Stats() Stats {
 // exhaustive (budgeted) search. The heuristic IMS schedule serves as
 // both the upper bound of the scan and the fallback when the budget
 // dies. Returns nil when neither backend can pipeline the loop.
-func (s *Scheduler) ScheduleLoop(d *sched.DAG, m *machine.Desc, maxII int) *sched.KernelSchedule {
+func (s *Scheduler) ScheduleLoop(d *sched.DAG, m *machine.Desc) *sched.KernelSchedule {
 	n := len(d.Ops)
 	if n == 0 {
 		return nil
@@ -143,14 +143,11 @@ func (s *Scheduler) ScheduleLoop(d *sched.DAG, m *machine.Desc, maxII int) *sche
 	// dependence system alone has a positive cycle needs no search to
 	// rule out. The heuristic scan starts there too.
 	mii := sched.MinII(d, m)
-	heur := sched.ModuloScheduleFrom(d, m, mii, maxII)
-	if maxII <= 0 {
-		maxII = sched.DefaultMaxII(n)
-	}
+	heur := sched.ModuloScheduleFrom(d, m, mii, 0)
 	// The heuristic schedule is an upper bound: only IIs strictly
 	// below it need searching. When the heuristic failed entirely, the
 	// exact search covers the whole range.
-	upper := maxII
+	upper := sched.DefaultMaxII(n)
 	if heur != nil && heur.II-1 < upper {
 		upper = heur.II - 1
 	}

@@ -168,7 +168,7 @@ func TestProvesMinimalInBudget(t *testing.T) {
 	}
 	o := obs.New(obs.Config{Metrics: true})
 	s := New(Options{Obs: o})
-	ks := s.ScheduleLoop(d, m, 0)
+	ks := s.ScheduleLoop(d, m)
 	if ks == nil {
 		t.Fatal("exact backend returned no schedule")
 	}
@@ -214,7 +214,7 @@ func TestBudgetExhaustedFallsBack(t *testing.T) {
 	heur := sched.ModuloSchedule(d, m, 0)
 	o := obs.New(obs.Config{Metrics: true})
 	s := New(Options{NodeBudget: 1, Obs: o})
-	ks := s.ScheduleLoop(d, m, 0)
+	ks := s.ScheduleLoop(d, m)
 	if ks == nil {
 		t.Fatal("fallback returned no schedule")
 	}
@@ -245,7 +245,7 @@ func TestRecurrenceLiftAvoidsSearch(t *testing.T) {
 	d := loopDAG(t, recurrenceLoop)
 	m := machine.Default()
 	s := New(Options{})
-	ks := s.ScheduleLoop(d, m, 0)
+	ks := s.ScheduleLoop(d, m)
 	if ks == nil {
 		t.Fatal("no schedule")
 	}
@@ -266,7 +266,7 @@ func TestTimeoutFallsBack(t *testing.T) {
 	d := loopDAG(t, wideLoop)
 	m := machine.Default()
 	s := New(Options{NodeBudget: 1 << 40, Timeout: -time.Hour})
-	ks := s.ScheduleLoop(d, m, 0)
+	ks := s.ScheduleLoop(d, m)
 	if ks == nil {
 		t.Fatal("fallback returned no schedule")
 	}
@@ -301,7 +301,7 @@ func TestConcurrentScheduleLoop(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w] = s.ScheduleLoop(dags[w%len(dags)], m, 0)
+			results[w] = s.ScheduleLoop(dags[w%len(dags)], m)
 		}(w)
 	}
 	wg.Wait()

@@ -20,10 +20,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // capturedLoop is one loop DAG a compile handed its modulo scheduler.
 type capturedLoop struct {
-	name  string
-	dag   *sched.DAG
-	mach  *machine.Desc
-	maxII int
+	name string
+	dag  *sched.DAG
+	mach *machine.Desc
 	// nodes is what the default-budget search expanded when captured.
 	nodes int64
 }
@@ -36,11 +35,11 @@ type recorder struct {
 	loops []capturedLoop
 }
 
-func (r *recorder) ScheduleLoop(d *sched.DAG, m *machine.Desc, maxII int) *sched.KernelSchedule {
+func (r *recorder) ScheduleLoop(d *sched.DAG, m *machine.Desc) *sched.KernelSchedule {
 	before := r.exact.Stats().Nodes
-	ks := r.exact.ScheduleLoop(d, m, maxII)
+	ks := r.exact.ScheduleLoop(d, m)
 	r.loops = append(r.loops, capturedLoop{
-		name: fmt.Sprintf("%s/loop%d", r.bench, len(r.loops)), dag: d, mach: m, maxII: maxII,
+		name: fmt.Sprintf("%s/loop%d", r.bench, len(r.loops)), dag: d, mach: m,
 		nodes: r.exact.Stats().Nodes - before})
 	return ks
 }
@@ -74,7 +73,7 @@ var searchBudgets = []int64{100, 1000, optimal.DefaultNodeBudget}
 // proof, nodes expanded and the schedule itself.
 func searchLine(l capturedLoop, budget int64) (string, int64) {
 	s := optimal.New(optimal.Options{NodeBudget: budget})
-	ks := s.ScheduleLoop(l.dag, l.mach, l.maxII)
+	ks := s.ScheduleLoop(l.dag, l.mach)
 	nodes := s.Stats().Nodes
 	head := fmt.Sprintf("%s ops=%d budget=%d:", l.name, len(l.dag.Ops), budget)
 	if ks == nil {
@@ -195,7 +194,7 @@ func BenchmarkExactSearch(b *testing.B) {
 	var nodes int64
 	for i := 0; i < b.N; i++ {
 		s := optimal.New(optimal.Options{})
-		s.ScheduleLoop(l.dag, l.mach, l.maxII)
+		s.ScheduleLoop(l.dag, l.mach)
 		nodes += s.Stats().Nodes
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")

@@ -188,7 +188,7 @@ func TestThreeOpRecurrenceSchedulesAtNine(t *testing.T) {
 	}
 	// The exact backend takes the heuristic's II 9 as proven without
 	// searching: no II below MinII is left to rule out.
-	ks := optimal.New(optimal.Options{}).ScheduleLoop(d, m, 0)
+	ks := optimal.New(optimal.Options{}).ScheduleLoop(d, m)
 	if ks == nil || ks.II != 9 || !ks.Proven || ks.Nodes != 0 {
 		t.Errorf("exact backend = %+v, want II 9 proven with 0 nodes", ks)
 	}

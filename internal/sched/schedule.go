@@ -220,7 +220,7 @@ func tryModuloBlock(prog *ir.Program, f *ir.Func, b *ir.Block, m *machine.Desc,
 	if backend == nil {
 		backend = Heuristic()
 	}
-	ks := backend.ScheduleLoop(d, m, 0)
+	ks := backend.ScheduleLoop(d, m)
 	if ks == nil || int64(ks.Stages) > trips {
 		return nil
 	}
