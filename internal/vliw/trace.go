@@ -2,7 +2,6 @@ package vliw
 
 import (
 	"encoding/binary"
-	"unsafe"
 
 	"lpbuf/internal/obs"
 	"lpbuf/internal/sched"
@@ -254,12 +253,6 @@ func Execute(code *sched.Code, opts Options) (*Execution, error) {
 	return &Execution{Mem: s.mem, Ret: ret, code: code, reg: opts.Obs.Registry(),
 		sampled: s.pmu != nil, now: s.now, shared: s.shared, trace: r.trace,
 		samples: r.samples, secs: r.secs, base: r.base}, nil
-}
-
-// TraceBytes is the size of the execution's loop-level trace: its
-// events and sample points.
-func (x *Execution) TraceBytes() int {
-	return len(x.trace) + len(x.samples)*int(unsafe.Sizeof(traceSample{}))
 }
 
 // LoopWeight is one loop section's execution counts in the terms of the
