@@ -53,8 +53,10 @@ type Config struct {
 	DisableCombine  bool
 	DisablePromote  bool
 	// Verify runs the internal/verify phase checkpoints after every
-	// pipeline phase and fails the compile on any invariant violation.
-	// Building with -tags verify forces it on for all compiles.
+	// pipeline phase, and interprets the transformed program against
+	// the reference, failing the compile on any invariant violation or
+	// behaviour change. Building with -tags verify forces it on for all
+	// compiles.
 	Verify bool
 	// SchedBackend selects the modulo-scheduler backend: "" or
 	// "heuristic" for iterative modulo scheduling, "optimal" for the
@@ -453,7 +455,10 @@ func (c *Compiled) RunSweep(capacities []int) ([]*vliw.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := x.Weights()
+	w, err := c.Weights()
+	if err != nil {
+		return nil, err
+	}
 	results := make([]*vliw.Result, len(capacities))
 	for i, capacity := range capacities {
 		plan, err := c.plan(w, capacity)

@@ -78,7 +78,7 @@ func TestWeightsMatchInterpreter(t *testing.T) {
 				if want.Iterations > 0 {
 					executed++
 				}
-				if got := w[vliw.LoopKey(fname, sec.Start)]; got != want {
+				if got := w[vliw.Section{Func: fname, Start: sec.Start}]; got != want {
 					t.Errorf("%s: loop %s@%d (kind %d): execution %+v, interpreter %+v",
 						cc.name, fname, sec.Start, sec.Kind, got, want)
 				}

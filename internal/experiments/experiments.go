@@ -643,7 +643,7 @@ func fig3ForCompiled(c *core.Compiled, w vliw.Weights) *Fig3 {
 			out.TotalLoops++
 			blk := irf.Block(sec.Block)
 			weight := int64(1)
-			if n := w[vliw.LoopKey(fname, sec.Start)].Iterations; n > 0 {
+			if n := w[vliw.Section{Func: fname, Start: sec.Start}].Iterations; n > 0 {
 				weight = n
 			}
 			// Scheduled ops of the section.

@@ -41,7 +41,7 @@ func Plan(code *sched.Code, w vliw.Weights, capacity int) *vliw.BufferPlan {
 			if pl.Ops == 0 || pl.Ops > capacity {
 				continue
 			}
-			lw := w[pl.Key()]
+			lw := w[pl.Section()]
 			c := &candidate{pl: pl, weight: float64(lw.Iterations), entries: float64(lw.Entries)}
 			if c.entries == 0 {
 				c.entries = 1

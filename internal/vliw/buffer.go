@@ -25,13 +25,12 @@ type PlannedLoop struct {
 
 // Key identifies the loop in statistics maps.
 func (pl *PlannedLoop) Key() string {
-	return LoopKey(pl.Func, pl.StartBundle)
+	return fmt.Sprintf("%s@%d", pl.Func, pl.StartBundle)
 }
 
-// LoopKey names the loop section of function fn that starts at bundle
-// start, as PlannedLoop.Key, Stats.Loops and Weights spell it.
-func LoopKey(fn string, start int) string {
-	return fmt.Sprintf("%s@%d", fn, start)
+// Section names the loop section the loop buffers.
+func (pl *PlannedLoop) Section() Section {
+	return Section{Func: pl.Func, Start: pl.StartBundle}
 }
 
 // BufferPlan is the compile-time assignment of loops to buffer space.
@@ -51,9 +50,9 @@ type BufferPlan struct {
 type bufferState struct {
 	plan *BufferPlan
 	// byFunc[func][bundle] = index of the planned loop covering that
-	// bundle (-1 for none). The string-keyed lookup is hoisted to once
-	// per function activation (loopsFor); the per-fetch path only
-	// indexes the slice.
+	// bundle (-1 for none), built on a live run's first activation of
+	// func (loopsFor); the per-fetch path only indexes the slice. A fold
+	// names loops by section instead and never builds it.
 	byFunc map[string][]int32
 	// stats[i] is plan.Loops[i]'s stats record, created on first use.
 	stats []*LoopStats
@@ -77,24 +76,30 @@ func newBufferState(plan *BufferPlan, bp int64) *bufferState {
 	}
 	bs.stats = make([]*LoopStats, len(plan.Loops))
 	bs.intact = make([]bool, len(plan.Loops))
-	for i, pl := range plan.Loops {
-		m := bs.byFunc[pl.Func]
+	return bs
+}
+
+// loopsFor returns the per-bundle planned-loop table of one function,
+// building it on first use; nil when the function has no planned
+// loops.
+func (bs *bufferState) loopsFor(fn string) []int32 {
+	if m, ok := bs.byFunc[fn]; ok || bs.plan == nil {
+		return m
+	}
+	var m []int32
+	for i, pl := range bs.plan.Loops {
+		if pl.Func != fn {
+			continue
+		}
 		for len(m) < pl.EndBundle {
 			m = append(m, -1)
 		}
 		for pc := pl.StartBundle; pc < pl.EndBundle; pc++ {
 			m[pc] = int32(i)
 		}
-		bs.byFunc[pl.Func] = m
 	}
-	return bs
-}
-
-// loopsFor returns the per-bundle planned-loop table of one function.
-// Called once per function activation; nil when the function has no
-// planned loops.
-func (bs *bufferState) loopsFor(fn string) []int32 {
-	return bs.byFunc[fn]
+	bs.byFunc[fn] = m
+	return m
 }
 
 // loop returns planned loop i (nil for -1).

@@ -24,13 +24,7 @@ func (x *Execution) Fold(plan *BufferPlan, label string) (*Result, error) {
 		switch k := rd.kind(); k {
 		case evFetch:
 			sec, off, ops := rd.int(), rd.int(), rd.int()
-			i := idx[sec]
-			var ls *LoopStats
-			fromBuf = false
-			if i >= 0 || a.buf.streaming() {
-				fromBuf, ls = a.buf.fetch(i, "", int(x.secs[sec].start)+int(off), 0, a)
-			}
-			a.count(fromBuf, ls, ops)
+			fromBuf = a.fetchOps(idx[sec], "", int(x.secs[sec].start)+int(off), 0, ops)
 		case evTrips:
 			sec, n := rd.int(), rd.int()
 			a.trips(idx[sec], &x.secs[sec].loopSection, n)
@@ -79,11 +73,7 @@ func (a *account) trips(i int32, ls *loopSection, n int64) {
 		if i >= 0 && a.buf.cur == i && a.buf.replaying {
 			break
 		}
-		fromBuf, st := false, (*LoopStats)(nil)
-		if i >= 0 || a.buf.streaming() {
-			fromBuf, st = a.buf.fetch(i, "", start, 0, a)
-		}
-		a.count(fromBuf, st, ls.tripOps)
+		a.fetchOps(i, "", start, 0, ls.tripOps)
 		if a.buf.streaming() {
 			a.charge(a.buf.takenPenalty("", start, true, start, 0, a) - a.buf.bp)
 		}

@@ -77,9 +77,10 @@ func TestFoldMatchesLive(t *testing.T) {
 	}
 }
 
-// TestFoldRegistryNoEvents pins that folds emit no cycle-level events
-// and still fold every plan's totals into the registry.
-func TestFoldRegistryNoEvents(t *testing.T) {
+// TestBatchFoldedStatsOnly pins what a batch of plans folded over one
+// execution reports: folded stats only — exact Stats and registry
+// totals per plan, and no cycle-level events.
+func TestBatchFoldedStatsOnly(t *testing.T) {
 	code, err := sched.Schedule(kernelLoopProgram(150), machine.Default(), sched.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -206,10 +207,11 @@ func TestDecodedImageBelongsToItsCode(t *testing.T) {
 	}
 }
 
-// TestExecuteStressShared is the -race stress test: 8 goroutines
-// execute and fold concurrently over two shared Codes, so decoders race
-// on each FuncCode's image. Every run must produce the same answer.
-func TestExecuteStressShared(t *testing.T) {
+// TestBatchStressShared is the -race stress test: 8 goroutines each
+// execute and fold a batch of plans concurrently over two shared Codes,
+// so decoders race on each FuncCode's image. Every run must produce the
+// same answer.
+func TestBatchStressShared(t *testing.T) {
 	codes := make([]*sched.Code, 2)
 	for i := range codes {
 		code, err := sched.Schedule(kernelLoopProgram(120), machine.Default(), sched.Options{EnableModulo: i == 1})

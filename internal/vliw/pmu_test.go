@@ -110,10 +110,10 @@ func TestPMUFastPathDifferential(t *testing.T) {
 	}
 }
 
-// TestPMUFoldPerPlanProfiles: one sampled execution yields one profile
-// per folded plan, labeled, capacity-stamped, with the final cycle
-// count.
-func TestPMUFoldPerPlanProfiles(t *testing.T) {
+// TestPMUBatchPerPlanProfiles: one sampled execution yields one
+// profile per plan of the batch folded over it, labeled,
+// capacity-stamped, with the final cycle count.
+func TestPMUBatchPerPlanProfiles(t *testing.T) {
 	prog := loopProgram(1500)
 	code, plan := compile(t, prog, 256, false)
 	labels := []string{"bench/a@256", "bench/b@0"}

@@ -221,6 +221,18 @@ func (a *account) count(fromBuffer bool, ls *LoopStats, ops int64) {
 	}
 }
 
+// fetchOps runs the fetch of bundle pc of fn at cycle now, in planned
+// loop i (-1 for none), and accounts ops issued under its verdict,
+// which it returns. fn and now only stamp events.
+func (a *account) fetchOps(i int32, fn string, pc int, now, ops int64) bool {
+	fromBuffer, ls := false, (*LoopStats)(nil)
+	if i >= 0 || a.buf.streaming() {
+		fromBuffer, ls = a.buf.fetch(i, fn, pc, now, a)
+	}
+	a.count(fromBuffer, ls, ops)
+	return fromBuffer
+}
+
 // charge adds a redirect penalty of p cycles.
 func (a *account) charge(p int64) {
 	a.penalty += p
@@ -815,10 +827,7 @@ func (s *sim) fetchBundle(fc *sched.FuncCode, fx *funcCtx, pc int, nOps int64, s
 	if pc < len(fx.tab) {
 		i = fx.tab[pc]
 	}
-	fromBuffer, ls := false, (*LoopStats)(nil)
-	if i >= 0 || a.buf.streaming() {
-		fromBuffer, ls = a.buf.fetch(i, fc.F.Name, pc, s.now, a)
-	}
+	fromBuffer := a.fetchOps(i, fc.F.Name, pc, s.now, nOps)
 	if a.ring != nil {
 		aux := int64(0)
 		if fromBuffer {
@@ -827,7 +836,6 @@ func (s *sim) fetchBundle(fc *sched.FuncCode, fx *funcCtx, pc int, nOps int64, s
 		a.emit(obs.SimEvent{Cycle: s.now, Kind: obs.SimIssue,
 			Func: fc.F.Name, PC: int32(pc), Arg: nOps, Aux: aux})
 	}
-	a.count(fromBuffer, ls, nOps)
 	if sample {
 		a.sample(fc.F.Name, a.buf.loop(i), int32(pc), s.now, nOps, fromBuffer, s.shared)
 	}

@@ -263,8 +263,15 @@ type LoopWeight struct {
 	Iterations, Entries int64
 }
 
-// Weights maps loop sections, keyed by LoopKey, to their weights.
-type Weights map[string]LoopWeight
+// Section names a loop section of a schedule: its function and the
+// bundle it starts at.
+type Section struct {
+	Func  string
+	Start int
+}
+
+// Weights maps loop sections to their weights.
+type Weights map[Section]LoopWeight
 
 // Weights derives every loop section's weight from the execution. A
 // self-loop section's block runs once per fetch of the section's head.
@@ -277,7 +284,7 @@ func (x *Execution) Weights() Weights {
 	w := make(Weights, len(x.secs))
 	for i := range x.secs {
 		ts := &x.secs[i]
-		w[LoopKey(ts.fn, int(ts.start))] = LoopWeight{
+		w[Section{Func: ts.fn, Start: int(ts.start)}] = LoopWeight{
 			Iterations: ts.fetches + ts.entries*(ts.stages-1),
 			Entries:    ts.entries,
 		}
