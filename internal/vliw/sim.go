@@ -338,8 +338,10 @@ func (s *sim) runEntry() (int64, error) {
 
 // Run executes scheduled code from the program entry under one buffer
 // plan, accounting every fetch as it issues: the live path, which emits
-// the cycle-level events of Options.Obs's ring. Runs without events
-// execute plan-free once and fold each plan instead (Execute, Fold).
+// the cycle-level events of Options.Obs's ring and is the reference the
+// folds are checked against. Runs that want no events are cheaper as
+// one plan-free execution with each plan folded over it (Execute,
+// Fold), which is how internal/core runs them.
 func Run(code *sched.Code, buffers *BufferPlan, opts Options) (*Result, error) {
 	s, err := newSim(code, opts)
 	if err != nil {
