@@ -71,7 +71,7 @@ func TestScopeFoldsIntoParent(t *testing.T) {
 }
 
 // TestScopeFoldPMUHistogramBucketDrift folds the PMU's per-run sample
-// histogram (sim.pmu.samples_per_run, recorded by vliw.RunBatch) from
+// histogram (sim.pmu.samples_per_run, recorded per vliw run or fold) from
 // a child scope whose observations land in different log2 buckets than
 // the parent's: the parent saw sparse profiles (magnitudes 0-8), the
 // child saw dense ones (thousands). The fold must merge per-bucket —
