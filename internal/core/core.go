@@ -446,10 +446,10 @@ func (c *Compiled) RunWithBuffer(capacity int) (*vliw.Result, error) {
 
 // RunSweep executes the program once, plan-free (vliw.Execute), checks
 // it against the reference, plans the buffer at every capacity from
-// the execution's loop weights and folds each plan over the
-// execution's trace: a Figure 7 sweep costs one simulation instead of
-// len(capacities). Results come back in capacity order and carry no
-// cycle-level events.
+// the execution's loop weights and folds all the plans over the
+// execution's trace in one pass: a Figure 7 sweep costs one simulation
+// instead of len(capacities). Results come back in capacity order and
+// carry no cycle-level events.
 func (c *Compiled) RunSweep(capacities []int) ([]*vliw.Result, error) {
 	x, err := c.execute(c.Config.PMU)
 	if err != nil {
@@ -459,15 +459,17 @@ func (c *Compiled) RunSweep(capacities []int) ([]*vliw.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*vliw.Result, len(capacities))
+	plans := make([]*vliw.BufferPlan, len(capacities))
+	labels := make([]string, len(capacities))
 	for i, capacity := range capacities {
-		plan, err := c.plan(w, capacity)
-		if err != nil {
+		if plans[i], err = c.plan(w, capacity); err != nil {
 			return nil, err
 		}
-		if results[i], err = x.Fold(plan, c.label(capacity)); err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Config.Name, err)
-		}
+		labels[i] = c.label(capacity)
+	}
+	results, err := x.Fold(plans, labels)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", c.Config.Name, err)
 	}
 	return results, nil
 }

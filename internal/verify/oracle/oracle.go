@@ -194,11 +194,16 @@ func checkFolds(code *sched.Code, plans []*vliw.BufferPlan, live []*vliw.Result)
 			if err != nil {
 				return fmt.Errorf("%s execution: %w", name, err)
 			}
+			labels := make([]string, len(plans))
+			for i := range labels {
+				labels[i] = "oracle"
+			}
+			folds, err := x.Fold(plans, labels)
+			if err != nil {
+				return fmt.Errorf("%s fold: %w", name, err)
+			}
 			for i, plan := range plans {
-				r, err := x.Fold(plan, "oracle")
-				if err != nil {
-					return fmt.Errorf("buf%d: %s fold: %w", plan.Capacity, name, err)
-				}
+				r := folds[i]
 				if err := sameResult(name+" fold", "live", r, live[i]); err != nil {
 					return fmt.Errorf("buf%d: %w", plan.Capacity, err)
 				}

@@ -29,12 +29,13 @@ type dop struct {
 	ir.DecodedOp
 	// loopBack mirrors ir.Op.LoopBack for branch kinds.
 	loopBack bool
-	// direct marks a latency-1 register result that no later op in the
-	// bundle sources and no other op in the bundle writes: EQ-model
-	// visibility (next cycle) is then indistinguishable from storing
-	// straight into the register file at issue, so the writeback
-	// machinery is skipped entirely (see markDirect).
-	direct bool
+	// direct marks a register result, and pdDirect[i] the predicate
+	// result PD[i], whose landing no op can observe early: the EQ
+	// model's deferred landing is then indistinguishable from storing
+	// the value at issue, so the writeback machinery is skipped entirely
+	// (see markDirect).
+	direct   bool
+	pdDirect [2]bool
 	// target is the resolved branch target bundle.
 	target int32
 	lat    int64
@@ -58,12 +59,13 @@ type dbundle struct {
 type decodedFunc struct {
 	fc      *sched.FuncCode
 	bundles []dbundle
-	// regions overlays the bundle space with replayable single-entry
-	// windows (resident loops and straight-line runs; see region.go).
-	// regionHead maps a bundle index to the region starting there (-1
-	// for none); nil when the function has no regions.
-	regions    []region
-	regionHead []int32
+	// regions overlays the bundle space with replayable windows
+	// (resident loops and straight-line runs; see region.go). regionAt
+	// maps a bundle index to the region control can enter there (-1 for
+	// none): a loop region at its head, a straight region at any of its
+	// bundles. Nil when the function has no regions.
+	regions  []region
+	regionAt []int32
 	// loops lists the function's loop sections (see sectionIsLoop) in
 	// layout order, and loopOf maps a bundle to the index of the loop
 	// section holding it (-1 for none); nil when there are none.
@@ -116,47 +118,243 @@ func decodeFunc(code *sched.Code, fc *sched.FuncCode) *decodedFunc {
 			decodeOp(code, so, &flat[n])
 			n++
 		}
-		markDirect(flat[start:n])
 		df.bundles[i] = dbundle{ops: flat[start:n:n], fall: int32(fc.FallTarget(i))}
 	}
+	markDirect(df)
 	buildLoops(df, fc)
 	buildRegions(df, fc)
 	return df
 }
 
-// markDirect flags the bundle's direct-writeback results. A latency-1
-// write qualifies when no later op in the bundle sources the register
-// (reads sample at issue, so only later ops could observe the stale
-// value the EQ model mandates) and no other op in the bundle writes it
-// (two same-cycle writes routed down different paths could land out of
-// issue order). Guards are conservative: a nullified reader at runtime
-// still disqualifies at decode time. A specialized ALU op that writes
-// through the writeback machinery gives up its kind for ir.KindALU,
-// whose issue case does the routing.
-func markDirect(ops []dop) {
-	for i := range ops {
-		d := &ops[i]
-		if !writesResult(d.Kind) {
-			continue
-		}
-		ok := d.lat == 1 && d.Dest != 0
-		for j := i + 1; ok && j < len(ops); j++ {
-			if ops[j].readsReg(d.Dest) {
-				ok = false
+// markDirect classifies every result of the function as stored at
+// issue (direct) or landed through the writeback machinery. The EQ
+// model makes a result of latency L issued at bundle b visible L
+// cycles later, and the issue clock advances one bundle per cycle, so
+// the schedule alone decides whether any op could tell the two apart.
+// A result goes direct only when all four rules hold:
+//
+//  1. no later op in b reads its destination (a guard reads its
+//     predicate) and no other op or predicate slot in b writes it: reads
+//     sample at issue in op order, and two same-cycle writes land in
+//     issue order;
+//  2. no bundle that can issue in the L-1 cycles after b — along
+//     fallthrough, branch targets and loop-backs — reads or writes it:
+//     such a read must see the old value, and such a write must land
+//     after this one;
+//  3. no write of it issued before b, on any path into b, is still in
+//     flight when b issues (a write of latency L' issued k < L' cycles
+//     earlier): the wheel would land that write over the stored value.
+//     Walked forward, this clears every write of the destination inside
+//     the window of a multi-cycle write, whose own rule 2 clears it;
+//  4. neither b nor any bundle in that window calls or returns: the
+//     window is counted in issue cycles, and a callee's cycles are not.
+//
+// Paths start at function entry with an empty frame, since a frame
+// begins with nothing in flight. Guards are conservative: a nullified
+// op still counts as a reader or writer. A specialized ALU op whose
+// result is not direct gives up its kind for ir.KindALU, whose issue
+// case does the routing.
+func markDirect(df *decodedFunc) {
+	g := newBundleGraph(df)
+	for pc := range df.bundles {
+		ops := df.bundles[pc].ops
+		for i := range ops {
+			d := &ops[i]
+			for k := range resultSlots {
+				if l := d.dest(k); l != 0 {
+					*d.directFlag(k) = !g.barrier[pc] && // rule 4
+						!readAfter(ops, i, l) && !writtenBeside(ops, i, k, l) // rule 1
+				}
 			}
 		}
-		for j := range ops {
-			if !ok {
-				break
+	}
+	for pc := range df.bundles {
+		ops := df.bundles[pc].ops
+		for i := range ops {
+			d := &ops[i]
+			if d.lat < 2 {
+				continue
 			}
-			if j != i && ops[j].WritesReg(d.Dest) {
-				ok = false
+			for k := range resultSlots {
+				l := d.dest(k)
+				if l == 0 {
+					continue
+				}
+				g.window(pc, int(d.lat-1), func(q int) {
+					if g.barrier[q] || touches(df.bundles[q].ops, l) { // rules 4 and 2
+						*d.directFlag(k) = false
+					}
+					clearWrites(df.bundles[q].ops, l) // rule 3
+				})
 			}
 		}
-		d.direct = ok
-		if !ok && d.Kind.IsSpecializedALU() {
-			d.Kind = ir.KindALU
+	}
+	for pc := range df.bundles {
+		for i := range df.bundles[pc].ops {
+			if d := &df.bundles[pc].ops[i]; !d.direct && d.Kind.IsSpecializedALU() {
+				d.Kind = ir.KindALU
+			}
 		}
+	}
+}
+
+// A loc names a result's destination: register r as r, predicate p as
+// -p. Neither is ever 0, since writes to r0 and p0 are dropped.
+type loc int32
+
+// resultSlots counts an op's result slots: its register result, then
+// its two predicate destinations.
+const resultSlots = 3
+
+// dest returns the destination of result slot k, 0 when the op has no
+// such result.
+func (d *dop) dest(k int) loc {
+	if k == 0 {
+		if writesResult(d.Kind) {
+			return loc(d.Dest)
+		}
+		return 0
+	}
+	if k-1 < int(d.NPD) {
+		return -loc(d.PD[k-1].Pred)
+	}
+	return 0
+}
+
+// directFlag returns the direct flag of result slot k.
+func (d *dop) directFlag(k int) *bool {
+	if k == 0 {
+		return &d.direct
+	}
+	return &d.pdDirect[k-1]
+}
+
+// reads reports whether the op reads l at issue: a source register,
+// call arguments included, or its guard predicate.
+func (d *dop) reads(l loc) bool {
+	if l < 0 {
+		return d.Guard == ir.PredReg(-l)
+	}
+	return d.readsReg(ir.Reg(l))
+}
+
+// writes reports whether the op may write l: its register result, a
+// call's return value or one of its predicate destinations.
+func (d *dop) writes(l loc) bool {
+	if l > 0 {
+		return d.WritesReg(ir.Reg(l))
+	}
+	for i := uint8(0); i < d.NPD; i++ {
+		if d.PD[i].Pred == ir.PredReg(-l) {
+			return true
+		}
+	}
+	return false
+}
+
+// readAfter reports whether an op after ops[i] reads l.
+func readAfter(ops []dop, i int, l loc) bool {
+	for j := i + 1; j < len(ops); j++ {
+		if ops[j].reads(l) {
+			return true
+		}
+	}
+	return false
+}
+
+// writtenBeside reports whether an op other than ops[i], or another
+// result slot of ops[i], writes l.
+func writtenBeside(ops []dop, i, k int, l loc) bool {
+	for j := range ops {
+		if j != i && ops[j].writes(l) {
+			return true
+		}
+	}
+	for kk := range resultSlots {
+		if kk != k && ops[i].dest(kk) == l {
+			return true
+		}
+	}
+	return false
+}
+
+// touches reports whether any op of a bundle reads or writes l.
+func touches(ops []dop, l loc) bool {
+	for j := range ops {
+		if ops[j].reads(l) || ops[j].writes(l) {
+			return true
+		}
+	}
+	return false
+}
+
+// clearWrites takes every result of a bundle that writes l off the
+// direct path.
+func clearWrites(ops []dop, l loc) {
+	for j := range ops {
+		for k := range resultSlots {
+			if ops[j].dest(k) == l {
+				*ops[j].directFlag(k) = false
+			}
+		}
+	}
+}
+
+// bundleGraph is a decoded function's control flow at bundle
+// granularity, as markDirect walks it: each bundle's successors
+// (fallthrough and every branch target) and whether it calls or
+// returns.
+type bundleGraph struct {
+	succ    [][]int32
+	barrier []bool
+	// seen stamps the bundles window has visited; cur and next are its
+	// frontiers.
+	seen      []int32
+	stamp     int32
+	cur, next []int32
+}
+
+func newBundleGraph(df *decodedFunc) *bundleGraph {
+	n := len(df.bundles)
+	g := &bundleGraph{succ: make([][]int32, n), barrier: make([]bool, n), seen: make([]int32, n)}
+	in := func(t int32) bool { return t >= 0 && int(t) < n }
+	for pc := range df.bundles {
+		db := &df.bundles[pc]
+		if in(db.fall) {
+			g.succ[pc] = append(g.succ[pc], db.fall)
+		}
+		for i := range db.ops {
+			switch d := &db.ops[i]; d.Kind {
+			case ir.KindBr, ir.KindJump, ir.KindBrCLoop:
+				if in(d.target) {
+					g.succ[pc] = append(g.succ[pc], d.target)
+				}
+			case ir.KindCall, ir.KindRet:
+				g.barrier[pc] = true
+			}
+		}
+	}
+	return g
+}
+
+// window calls visit once for every bundle that can issue within 1 to
+// cycles cycles after bundle pc, pc itself included when a loop brings
+// control back that soon.
+func (g *bundleGraph) window(pc, cycles int, visit func(q int)) {
+	g.stamp++
+	g.cur = append(g.cur[:0], int32(pc))
+	for c := 0; c < cycles && len(g.cur) > 0; c++ {
+		g.next = g.next[:0]
+		for _, p := range g.cur {
+			for _, q := range g.succ[p] {
+				if g.seen[q] != g.stamp {
+					g.seen[q] = g.stamp
+					g.next = append(g.next, q)
+					visit(int(q))
+				}
+			}
+		}
+		g.cur, g.next = g.next, g.cur
 	}
 }
 

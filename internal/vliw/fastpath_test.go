@@ -45,9 +45,18 @@ func TestFastPathDifferential(t *testing.T) {
 					t.Fatalf("execute: %v", err)
 				}
 				w := x.Weights()
+				var plans []*vliw.BufferPlan
+				var labels []string
 				for _, capacity := range capacities {
-					plan := loopbuffer.Plan(c.Code, w, capacity)
-					label := fmt.Sprintf("%s/%s@%d", b.Name, cfg.Name, capacity)
+					plans = append(plans, loopbuffer.Plan(c.Code, w, capacity))
+					labels = append(labels, fmt.Sprintf("%s/%s@%d", b.Name, cfg.Name, capacity))
+				}
+				folds, err := x.Fold(plans, labels)
+				if err != nil {
+					t.Fatalf("fold: %v", err)
+				}
+				for ci, capacity := range capacities {
+					plan, label, fold := plans[ci], labels[ci], folds[ci]
 					run := func(noFast bool) (*vliw.Result, *obs.Obs) {
 						o := obs.New(obs.Config{Metrics: true, SimEvents: true})
 						res, err := vliw.Run(c.Code, plan, vliw.Options{
@@ -83,10 +92,6 @@ func TestFastPathDifferential(t *testing.T) {
 					}
 					if !fast.Profile.Equal(slow.Profile) {
 						t.Errorf("capacity %d: samples differ (fast vs interpretive)", capacity)
-					}
-					fold, err := x.Fold(plan, label)
-					if err != nil {
-						t.Fatalf("capacity %d: fold: %v", capacity, err)
 					}
 					if !reflect.DeepEqual(fold.Stats, fast.Stats) {
 						t.Errorf("capacity %d: stats differ:\nfold: %+v\nlive: %+v",

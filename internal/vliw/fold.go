@@ -2,59 +2,92 @@ package vliw
 
 import "fmt"
 
-// Fold accounts plan over the execution's trace and returns the
-// plan's Result: exactly the Stats, per-loop stats and PMU attribution
-// a live run of the plan reports (the oracle's fold-vs-live contract
-// pins that). label names the run in its PMU profile. Every planned
-// loop must be one of the schedule's loop sections, the shape
-// internal/loopbuffer emits and verify.Plan requires; Fold rejects any
-// other plan with an error (a live Run accepts it). A nil plan buffers
-// nothing.
-func (x *Execution) Fold(plan *BufferPlan, label string) (*Result, error) {
-	idx, err := x.sectionPlan(plan)
-	if err != nil {
-		return nil, err
+// Fold accounts every plan over the execution's trace in one pass and
+// returns their Results in plan order: exactly the Stats, per-loop
+// stats and PMU attribution a live run of each plan reports (the
+// oracle's fold-vs-live contract pins that). Each trace event is
+// decoded once and drives every plan's account in turn. labels[i]
+// names plans[i]'s run in its PMU profile. Every planned loop must be
+// one of the schedule's loop sections, the shape internal/loopbuffer
+// emits and verify.Plan requires; Fold rejects any other plan with an
+// error (a live Run accepts it). A nil plan buffers nothing.
+func (x *Execution) Fold(plans []*BufferPlan, labels []string) ([]*Result, error) {
+	if len(labels) != len(plans) {
+		return nil, fmt.Errorf("vliw: %d labels for %d plans", len(labels), len(plans))
 	}
-	a := newAccount(x.code, plan, label, x.sampled)
-	bp := a.buf.bp
-	// fromBuf is the verdict of the latest loop-section fetch: the
-	// verdict a sample inside that section takes.
-	fromBuf := false
+	fs := make([]folding, len(plans))
+	for i, plan := range plans {
+		idx, err := x.sectionPlan(plan)
+		if err != nil {
+			return nil, err
+		}
+		fs[i] = folding{a: newAccount(x.code, plan, labels[i], x.sampled), idx: idx}
+	}
 	for rd := (traceReader{b: x.trace}); rd.more(); {
 		switch k := rd.kind(); k {
 		case evFetch:
 			sec, off, ops := rd.int(), rd.int(), rd.int()
-			fromBuf = a.fetchOps(idx[sec], "", int(x.secs[sec].start)+int(off), 0, ops)
+			pc := int(x.secs[sec].start) + int(off)
+			for i := range fs {
+				p := &fs[i]
+				p.fromBuf = p.a.fetchOps(p.idx[sec], "", pc, 0, ops)
+			}
 		case evTrips:
 			sec, n := rd.int(), rd.int()
-			a.trips(idx[sec], &x.secs[sec].loopSection, n)
+			for i := range fs {
+				fs[i].a.trips(fs[i].idx[sec], &x.secs[sec].loopSection, n)
+			}
 		case evTaken, evTakenLoopBack:
 			// The execution charged the redirect; a residency may
 			// predict it away.
 			target := int(rd.int())
-			if a.buf.streaming() {
-				a.charge(a.buf.takenPenalty("", 0, k == evTakenLoopBack, target, 0, a) - bp)
+			for i := range fs {
+				if a := fs[i].a; a.buf.streaming() {
+					a.charge(a.buf.takenPenalty("", 0, k == evTakenLoopBack, target, 0, a) - a.buf.bp)
+				}
 			}
 		case evExit:
-			if a.buf.streaming() {
-				a.charge(a.buf.exitPenalty("", 0, true, 0, a))
+			for i := range fs {
+				if a := fs[i].a; a.buf.streaming() {
+					a.charge(a.buf.exitPenalty("", 0, true, 0, a))
+				}
 			}
 		case evOutside:
-			if a.buf.streaming() {
-				a.buf.leave("", 0, 0, a)
+			for i := range fs {
+				if a := fs[i].a; a.buf.streaming() {
+					a.buf.leave("", 0, 0, a)
+				}
 			}
 		case evSample:
 			sm := &x.samples[rd.int()]
-			var pl *PlannedLoop
-			fb := false
-			if sm.sec >= 0 {
-				pl, fb = a.buf.loop(idx[sm.sec]), fromBuf
+			for i := range fs {
+				p := &fs[i]
+				var pl *PlannedLoop
+				fb := false
+				if sm.sec >= 0 {
+					pl, fb = p.a.buf.loop(p.idx[sm.sec]), p.fromBuf
+				}
+				p.a.sample(sm.fn, pl, sm.pc, sm.cycle, sm.ops, fb, sm.shared)
 			}
-			a.sample(sm.fn, pl, sm.pc, sm.cycle, sm.ops, fb, sm.shared)
 		}
 	}
-	a.finish(x.shared, x.now, x.reg)
-	return &Result{Mem: x.Mem, Ret: x.Ret, Stats: a.stats, Profile: a.prof}, nil
+	results := make([]*Result, len(fs))
+	for i := range fs {
+		a := fs[i].a
+		a.finish(x.shared, x.now, x.reg)
+		results[i] = &Result{Mem: x.Mem, Ret: x.Ret, Stats: a.stats, Profile: a.prof}
+	}
+	return results, nil
+}
+
+// folding is one plan's state in a fold: its account, the plan's loop
+// index for each of the execution's loop sections (-1 when the plan
+// leaves the section out), and the verdict of the latest loop-section
+// fetch, which a sample inside that section takes.
+type folding struct {
+	a       *account
+	idx     []int32
+	fromBuf bool
 }
 
 // trips folds n whole trips of loop section ls, planned as loop i (-1

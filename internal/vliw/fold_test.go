@@ -50,6 +50,10 @@ func TestFoldMatchesLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			folds, err := x.Fold(plans, make([]string, len(plans)))
+			if err != nil {
+				t.Fatalf("fold: %v", err)
+			}
 			for i, plan := range plans {
 				o := obs.New(obs.Config{SimEvents: true, SimRingSize: batchRing})
 				live, err := Run(code, plan, Options{Obs: o, TraceLabel: "live"})
@@ -59,10 +63,7 @@ func TestFoldMatchesLive(t *testing.T) {
 				if o.Sim.Total() == 0 {
 					t.Fatalf("plan %d: live run emitted no events", i)
 				}
-				fold, err := x.Fold(plan, "fold")
-				if err != nil {
-					t.Fatalf("plan %d fold: %v", i, err)
-				}
+				fold := folds[i]
 				if fold.Ret != live.Ret {
 					t.Errorf("plan %d: ret %d (fold) != %d (live)", i, fold.Ret, live.Ret)
 				}
@@ -91,11 +92,12 @@ func TestBatchFoldedStatsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	folds, err := x.Fold(plans, make([]string, len(plans)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, plan := range plans {
-		got, err := x.Fold(plan, "")
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := folds[i]
 		want, err := Run(code, plan, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +138,7 @@ func TestFoldRejectsNonSectionPlans(t *testing.T) {
 		"straddling": {Capacity: 256, Loops: []*PlannedLoop{&straddle}},
 		"twice":      {Capacity: 256, Loops: []*PlannedLoop{&pl, &twice}},
 	} {
-		if _, err := x.Fold(bad, ""); err == nil {
+		if _, err := x.Fold([]*BufferPlan{planSections(code, 256), bad}, []string{"", ""}); err == nil {
 			t.Errorf("%s plan folded", name)
 		}
 		if _, err := Run(code, bad, Options{}); err != nil {
@@ -237,12 +239,12 @@ func TestBatchStressShared(t *testing.T) {
 					errs <- err
 					return
 				}
-				for i, plan := range []*BufferPlan{planSections(code, 256), planSections(code, 64), nil} {
-					r, err := x.Fold(plan, "")
-					if err != nil {
-						errs <- err
-						return
-					}
+				rs, err := x.Fold([]*BufferPlan{planSections(code, 256), planSections(code, 64), nil}, make([]string, 3))
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, r := range rs {
 					if r.Ret != want {
 						errs <- fmt.Errorf("goroutine %d plan %d: ret %d, want %d", g, i, r.Ret, want)
 						return

@@ -51,13 +51,15 @@ func TestPMUFastPathDifferential(t *testing.T) {
 	plans := []*vliw.BufferPlan{plan, nil, {Capacity: 1}}
 	labels := []string{"p/replay@256", "p/nil@0", "p/tiny@1"}
 	cfg := &pmu.Config{Period: 512, Seed: 3}
-	var folds [2]*vliw.Execution
+	var folds [2][]*vliw.Result
 	for i, noFast := range []bool{false, true} {
 		x, err := vliw.Execute(code, vliw.Options{NoFastPath: noFast, PMU: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		folds[i] = x
+		if folds[i], err = x.Fold(plans, labels); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var fast []*vliw.Result
 	for i, plan := range plans {
@@ -80,12 +82,8 @@ func TestPMUFastPathDifferential(t *testing.T) {
 			t.Fatalf("plan %d: interpretive and fast-path samples differ (%d vs %d)",
 				i, sp.Total(), fp.Total())
 		}
-		for j, x := range folds {
-			r, err := x.Fold(plan, labels[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !r.Profile.Equal(fp) {
+		for j, rs := range folds {
+			if r := rs[i]; !r.Profile.Equal(fp) {
 				t.Fatalf("plan %d: fold of execution %d samples %d, live %d",
 					i, j, r.Profile.Total(), fp.Total())
 			}
@@ -121,13 +119,9 @@ func TestPMUBatchPerPlanProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var results []*vliw.Result
-	for i, p := range []*vliw.BufferPlan{plan, nil} {
-		r, err := x.Fold(p, labels[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, r)
+	results, err := x.Fold([]*vliw.BufferPlan{plan, nil}, labels)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, r := range results {
 		p := r.Profile
@@ -150,11 +144,11 @@ func TestPMUBatchPerPlanProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := x.Fold(plan, "")
+	rs, err := x.Fold([]*vliw.BufferPlan{plan}, []string{""})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Profile != nil {
+	if rs[0].Profile != nil {
 		t.Fatal("profile present with PMU disabled")
 	}
 }

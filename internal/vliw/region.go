@@ -17,9 +17,10 @@ import (
 // Regions are plan-independent: a plan-free execution and a live run
 // under any planner-shaped plan use the same ones.
 //
-// At a region head the simulator executes whole trips over the
-// pre-decoded bundles with the invariant work hoisted out of the
-// per-op path:
+// At a loop region's head, and at any bundle of a straight region, the
+// simulator executes whole trips over the pre-decoded bundles with the
+// invariant work hoisted out of the per-op path (a straight region
+// entered past its head runs the rest of its bundles as one trip):
 //
 //   - per-op fetch statistics (OpsIssued / OpsFromBuffer / OpsBuffered
 //     / OpsMemory) collapse to one pre-summed add per trip (opsUpTo
@@ -42,11 +43,12 @@ import (
 // the fetch accounting differs in form. The differential fast-path test
 // and the oracle's fast-vs-interpretive contract pin all of this.
 
-// testRegionEnter, when non-nil, observes every loop-region fast-path
-// entry of a live run whose plan buffers the loop. Test hook only (set
-// by non-parallel tests); the nil check sits on the region-head path,
-// not the per-cycle path.
-var testRegionEnter func(*PlannedLoop)
+// testRegionEnter, when non-nil, observes the region fast-path entries
+// of a live run that enter a loop region its plan buffers (pl is that
+// loop) or a straight region past its head (pl nil, pastHead true).
+// Test hook only (set by non-parallel tests); the nil check sits on the
+// region-entry path, not the per-cycle path.
+var testRegionEnter func(pl *PlannedLoop, pastHead bool)
 
 // region is one replayable window of a decoded function.
 type region struct {
@@ -61,6 +63,11 @@ type region struct {
 	// opsUpTo[j] is the op count of bundles [start, start+j);
 	// opsUpTo[end-start] is the full trip's op count.
 	opsUpTo []int64
+}
+
+// ops returns the op count of the region's bundles [from, to).
+func (r *region) ops(from, to int) int64 {
+	return r.opsUpTo[to-int(r.start)] - r.opsUpTo[from-int(r.start)]
 }
 
 // funcCtx is one simulation's per-function execution context: the
@@ -175,7 +182,10 @@ func buildLoops(df *decodedFunc, fc *sched.FuncCode) {
 // prologues and epilogues chief among them, so a whole
 // software-pipelined nest (prologue → kernel → epilogue) replays
 // through region trips. A straight region holds no loop-section
-// bundle, so its trips never touch a planned loop.
+// bundle, so its trips never touch a planned loop, and it can be
+// entered at any bundle: a branch into the middle of the run issues
+// the rest of it as one trip. A loop region is entered only at its
+// head, where every trip starts.
 func buildRegions(df *decodedFunc, fc *sched.FuncCode) {
 	n := len(df.bundles)
 	if n == 0 {
@@ -210,12 +220,17 @@ func buildRegions(df *decodedFunc, fc *sched.FuncCode) {
 		return
 	}
 	df.regions = regions
-	df.regionHead = make([]int32, n)
-	for i := range df.regionHead {
-		df.regionHead[i] = -1
+	df.regionAt = make([]int32, n)
+	for i := range df.regionAt {
+		df.regionAt[i] = -1
 	}
-	for ri := range regions {
-		df.regionHead[regions[ri].start] = int32(ri)
+	for ri, r := range regions {
+		df.regionAt[r.start] = int32(ri)
+		if !r.loop {
+			for pc := r.start + 1; pc < r.end; pc++ {
+				df.regionAt[pc] = int32(ri)
+			}
+		}
 	}
 }
 
@@ -281,26 +296,25 @@ func newRegion(df *decodedFunc, start, end int, loop bool) region {
 
 // sampleTrip reconstructs the PMU sampling clock's firings across one
 // (possibly partial) region trip analytically, without leaving the
-// fast path: the trip's bundles issued at the contiguous cycles
-// [iterBase, iterBase+count), so every scheduled sample cycle in that
-// window fires at its exact interpretive position (samples that came
-// due during non-issue cycles — call redirects — clamp forward to the
-// first issue cycle, exactly as the interpretive `now >= next` compare
-// does). The fetch verdict is invariant across a trip (the buffer state
-// machine only transitions at the head), so a live run attributes each
-// sample exactly as the per-bundle hook would, and a plan-free
-// execution records it for the folds; the differential PMU test pins
-// that. Must run after the trip's fetch accounting so counter-track
-// points see it. Callers pre-check that a sample is due inside the trip
-// window (this function has a loop, so the compiler cannot inline the
-// common no-sample case away).
-func (s *sim) sampleTrip(fc *sched.FuncCode, r *region, sec int32, pl *PlannedLoop, fromBuf bool, iterBase int64, count int) {
+// fast path: the trip's bundles, from bundle entry on, issued at the
+// contiguous cycles [iterBase, iterBase+count), so every scheduled
+// sample cycle in that window fires at its exact interpretive position
+// (samples that came due during non-issue cycles — call redirects —
+// clamp forward to the first issue cycle, exactly as the interpretive
+// `now >= next` compare does). The fetch verdict is invariant across a
+// trip (the buffer state machine only transitions at the entry fetch),
+// so a live run attributes each sample exactly as the per-bundle hook
+// would, and a plan-free execution records it for the folds; the
+// differential PMU test pins that. Must run after the trip's fetch
+// accounting so counter-track points see it. Callers pre-check that a
+// sample is due inside the trip window (this function has a loop, so
+// the compiler cannot inline the common no-sample case away).
+func (s *sim) sampleTrip(fc *sched.FuncCode, r *region, entry int, sec int32, pl *PlannedLoop, fromBuf bool, iterBase int64, count int) {
 	last := iterBase + int64(count) - 1
 	for s.pmu.Next() <= last {
 		c := max(s.pmu.Next(), iterBase)
-		idx := c - iterBase
-		pc := r.start + int32(idx)
-		ops := r.opsUpTo[idx+1] - r.opsUpTo[idx]
+		pc := int32(entry) + int32(c-iterBase)
+		ops := r.ops(int(pc), int(pc)+1)
 		if s.rec != nil {
 			s.rec.sample(fc, sec, pc, c, ops, s.shared)
 		} else {
@@ -310,11 +324,11 @@ func (s *sim) sampleTrip(fc *sched.FuncCode, r *region, sec int32, pl *PlannedLo
 	}
 }
 
-// flushRegion emits the trip's first count SimIssue events, stamped
-// with their actual cycles, as one batch. Must run before any exit-path
-// event (redirect, loop exit) so the ring's order matches the
-// interpretive path exactly.
-func (s *sim) flushRegion(fc *sched.FuncCode, df *decodedFunc, r *region, fromBuf bool, iterBase int64, count int) {
+// flushRegion emits the SimIssue events of the trip's first count
+// bundles from bundle entry on, stamped with their actual cycles, as
+// one batch. Must run before any exit-path event (redirect, loop exit)
+// so the ring's order matches the interpretive path exactly.
+func (s *sim) flushRegion(fc *sched.FuncCode, df *decodedFunc, entry int, fromBuf bool, iterBase int64, count int) {
 	a := s.acct
 	if count == 0 || a.ring == nil {
 		return
@@ -323,13 +337,12 @@ func (s *sim) flushRegion(fc *sched.FuncCode, df *decodedFunc, r *region, fromBu
 	if fromBuf {
 		aux = 1
 	}
-	start := int(r.start)
 	evs := s.evScratch[:0]
 	for j := 0; j < count; j++ {
 		evs = append(evs, obs.SimEvent{Cycle: iterBase + int64(j),
 			Kind: obs.SimIssue, Run: a.label, Func: fc.F.Name,
-			PC:  int32(start + j),
-			Arg: int64(len(df.bundles[start+j].ops)), Aux: aux})
+			PC:  int32(entry + j),
+			Arg: int64(len(df.bundles[entry+j].ops)), Aux: aux})
 	}
 	s.evScratch = evs
 	a.ring.EmitBatch(evs)
@@ -337,65 +350,69 @@ func (s *sim) flushRegion(fc *sched.FuncCode, df *decodedFunc, r *region, fromBu
 
 // runRegion executes trips of region ri until control leaves it,
 // returning the bundle to resume the interpretive loop at and the last
-// bundle the region issued. Entered at the region head from bundle
-// prev (-1 at function entry); a plan-free execution records the trips
-// instead (recordRegion). In a live run every trip starts with the head
-// fetch, so entry, the record→replay transition, per-iteration
+// bundle the region issued. Entered at bundle entry (a loop region's
+// head, or any bundle of a straight region) from bundle prev (-1 at
+// function entry); a plan-free execution records the trips instead
+// (recordRegion). Offsets into the region — partial op counts, samples,
+// issue events — count from entry, so a trip entered past the head
+// accounts exactly what the interpretive path would from there on. In a
+// live run every trip starts with the entry fetch, so loop entry, the
+// record→replay transition, per-iteration
 // bookkeeping and residency events happen exactly as on the
 // interpretive path. Within a trip the fetch verdict is invariant (the
 // buffer state machine can only transition at the head), which is what
 // lets per-bundle accounting collapse to per-trip sums. The trip's
 // bundles issue through issueRun in one call, which returns at the
 // first branch or at the region end.
-func (s *sim) runRegion(f *frame, fx *funcCtx, ri int, sc *scratch, prev int) (int, int, error) {
+func (s *sim) runRegion(f *frame, fx *funcCtx, ri, entry int, sc *scratch, prev int) (int, int, error) {
 	if s.rec != nil {
-		return s.recordRegion(f, fx, ri, sc, prev)
+		return s.recordRegion(f, fx, ri, entry, sc, prev)
 	}
 	df := fx.df
 	r := &df.regions[ri]
 	fc := f.fc
 	a := s.acct
 	pl := fx.regionPl[ri]
-	if r.loop && pl >= 0 && testRegionEnter != nil {
-		testRegionEnter(a.buf.loop(pl))
+	if testRegionEnter != nil && (pl >= 0 || entry != int(r.start)) {
+		testRegionEnter(a.buf.loop(pl), entry != int(r.start))
 	}
-	start := int(r.start)
 	for {
 		// As on the interpretive path, a run past the cycle limit stops
-		// before the fetch, so the head fetch's buffer events stay out.
+		// before the fetch, so the entry fetch's buffer events stay out.
 		if s.now > s.opts.MaxCycles {
-			return 0, 0, cycleLimit(fc, start)
+			return 0, 0, cycleLimit(fc, entry)
 		}
 		iterBase := s.now
-		// The head fetch is a no-op unless the plan buffers the region
+		// The entry fetch is a no-op unless the plan buffers the region
 		// or a residency is open.
 		fromBuf, ls := false, (*LoopStats)(nil)
 		if pl >= 0 || a.buf.streaming() {
-			fromBuf, ls = a.buf.fetch(pl, fc.F.Name, start, s.now, a)
+			fromBuf, ls = a.buf.fetch(pl, fc.F.Name, entry, s.now, a)
 		}
-		end, nullified, err := s.issueRun(f, df, start, int(r.end), sc)
-		count := end - start
-		// The trip fetched bundles [start, end): account them, take
+		end, nullified, err := s.issueRun(f, df, entry, int(r.end), sc)
+		count := end - entry
+		// The trip fetched bundles [entry, end): account them, take
 		// their samples and flush their events before any exit-path
 		// event, so the ring's order matches the interpretive path. A
 		// predicted loop-back resolves to zero penalty and no event
 		// inside resolveControl.
 		if err != nil {
-			s.flushRegion(fc, df, r, fromBuf, iterBase, count)
+			s.flushRegion(fc, df, entry, fromBuf, iterBase, count)
 			return 0, 0, err
 		}
-		s.shared.issued += r.opsUpTo[count]
+		ops := r.ops(entry, end)
+		s.shared.issued += ops
 		s.shared.nullified += nullified
-		a.count(fromBuf, ls, r.opsUpTo[count])
+		a.count(fromBuf, ls, ops)
 		if s.pmu != nil && s.pmu.Next() < iterBase+int64(count) {
-			s.sampleTrip(fc, r, -1, a.buf.loop(pl), fromBuf, iterBase, count)
+			s.sampleTrip(fc, r, entry, -1, a.buf.loop(pl), fromBuf, iterBase, count)
 		}
-		s.flushRegion(fc, df, r, fromBuf, iterBase, count)
+		s.flushRegion(fc, df, entry, fromBuf, iterBase, count)
 		next, err := s.leaveTrip(f, df, sc, end)
 		if err != nil {
 			return 0, 0, err
 		}
-		if !r.loop || next != start {
+		if !r.loop || next != entry {
 			return next, end - 1, nil
 		}
 		// Loop-back to the region head: next trip (its head fetch does
@@ -421,7 +438,8 @@ func (s *sim) leaveTrip(f *frame, df *decodedFunc, sc *scratch, end int) (int, e
 }
 
 // recordRegion is runRegion for a plan-free execution: it executes
-// trips of region ri and records them in the loop-level trace. A trip
+// trips of region ri from bundle entry and records them in the
+// loop-level trace. A trip
 // of a loop region that ends in the taken loop-back to its head, with
 // no PMU sample due, is counted; the counted trips become one evTrips
 // event when a trip of any other kind comes. That trip is an evFetch
@@ -429,12 +447,11 @@ func (s *sim) leaveTrip(f *frame, df *decodedFunc, sc *scratch, end int) (int, e
 // its branch events. A straight region holds no loop-section bundle,
 // so its first trip closes loop activity and it records nothing else
 // but samples.
-func (s *sim) recordRegion(f *frame, fx *funcCtx, ri int, sc *scratch, prev int) (int, int, error) {
+func (s *sim) recordRegion(f *frame, fx *funcCtx, ri, entry int, sc *scratch, prev int) (int, int, error) {
 	df := fx.df
 	r := &df.regions[ri]
 	fc := f.fc
 	rec := s.rec
-	start := int(r.start)
 	sec := int32(-1)
 	if r.loop {
 		sec = fx.secBase + r.sec
@@ -446,20 +463,20 @@ func (s *sim) recordRegion(f *frame, fx *funcCtx, ri int, sc *scratch, prev int)
 	var counted int64
 	for {
 		if s.now > s.opts.MaxCycles {
-			return 0, 0, cycleLimit(fc, start)
+			return 0, 0, cycleLimit(fc, entry)
 		}
 		iterBase := s.now
-		end, nullified, err := s.issueRun(f, df, start, int(r.end), sc)
+		end, nullified, err := s.issueRun(f, df, entry, int(r.end), sc)
 		if err != nil {
 			return 0, 0, err
 		}
-		count := end - start
-		ops := r.opsUpTo[count]
+		count := end - entry
+		ops := r.ops(entry, end)
 		s.shared.issued += ops
 		s.shared.nullified += nullified
 		if r.loop && end == int(r.end) && len(sc.branches) == 1 {
 			ba := sc.branches[0]
-			if ba.taken && ba.d.loopBack && int(ba.d.target) == start &&
+			if ba.taken && ba.d.loopBack && int(ba.d.target) == entry &&
 				(s.pmu == nil || s.pmu.Next() >= iterBase+int64(count)) {
 				counted++
 				s.shared.penalty += bp
@@ -473,13 +490,13 @@ func (s *sim) recordRegion(f *frame, fx *funcCtx, ri int, sc *scratch, prev int)
 			rec.head(sec, ops)
 		}
 		if s.pmu != nil && s.pmu.Next() < iterBase+int64(count) {
-			s.sampleTrip(fc, r, sec, nil, false, iterBase, count)
+			s.sampleTrip(fc, r, entry, sec, nil, false, iterBase, count)
 		}
 		next, err := s.leaveTrip(f, df, sc, end)
 		if err != nil {
 			return 0, 0, err
 		}
-		if !r.loop || next != start {
+		if !r.loop || next != entry {
 			return next, end - 1, nil
 		}
 	}

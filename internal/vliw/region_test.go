@@ -104,8 +104,8 @@ func TestRegionsQualify(t *testing.T) {
 			fc := code.Funcs[pl.Func]
 			df := decodedOf(code, fc)
 			ri := int32(-1)
-			if pl.StartBundle < len(df.regionHead) {
-				ri = df.regionHead[pl.StartBundle]
+			if pl.StartBundle < len(df.regionAt) {
+				ri = df.regionAt[pl.StartBundle]
 			}
 			if ri < 0 {
 				t.Fatalf("modulo=%v: loop %s has no region at its head", modulo, pl.Key())
@@ -177,10 +177,17 @@ func TestNestRegions(t *testing.T) {
 	if straights == 0 {
 		t.Fatal("no straight region covering non-kernel code")
 	}
-	// Region heads must be mutually consistent.
+	// Every region is entered at its head, and a straight region at
+	// each of its bundles; a loop region only at its head.
 	for ri, r := range df.regions {
-		if df.regionHead[r.start] != int32(ri) {
-			t.Fatalf("regionHead[%d] = %d, want %d", r.start, df.regionHead[r.start], ri)
+		for pc := r.start; pc < r.end; pc++ {
+			want := int32(ri)
+			if r.loop && pc != r.start {
+				want = -1
+			}
+			if df.regionAt[pc] != want {
+				t.Fatalf("regionAt[%d] = %d, want %d", pc, df.regionAt[pc], want)
+			}
 		}
 	}
 }
@@ -225,7 +232,11 @@ func TestRegionEngages(t *testing.T) {
 	}
 	plan := planSections(code, 256)
 	entries := 0
-	testRegionEnter = func(*PlannedLoop) { entries++ }
+	testRegionEnter = func(pl *PlannedLoop, _ bool) {
+		if pl != nil {
+			entries++
+		}
+	}
 	defer func() { testRegionEnter = nil }()
 	res, err := Run(code, plan, Options{})
 	if err != nil {

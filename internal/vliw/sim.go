@@ -142,10 +142,11 @@ type frame struct {
 	fc    *sched.FuncCode
 	regs  []int64
 	preds []bool
-	// fast holds the current bundle's latency-1 results — the bulk of
-	// all writes. They land unconditionally at the next tick, after the
-	// wheel cohort (whose entries issued in earlier cycles), so the
-	// write path is a plain append-to-array with no slot arithmetic.
+	// fast holds the current bundle's latency-1 results that are not
+	// stored at issue (see markDirect). They land unconditionally at the
+	// next tick, after the wheel cohort (whose entries issued in earlier
+	// cycles), so the write path is a plain append-to-array with no slot
+	// arithmetic.
 	fast  [wheelStride]wbEntry
 	nFast int32
 	// wheel is the writeback pipeline for multi-cycle results, a flat
@@ -590,8 +591,8 @@ func (s *sim) readReg(f *frame, r ir.Reg) int64 {
 	return f.regs[r]
 }
 
-// writeRegFast queues a latency-1 register result — the overwhelmingly
-// common case — on the frame's append-only fast list: it lands at the
+// writeRegFast queues a latency-1 register result that is not stored
+// at issue on the frame's append-only fast list: it lands at the
 // next tick, after any wheel or spill cohort due the same cycle (those
 // were issued on earlier cycles, so landing order still follows issue
 // order). The list holds at most one bundle's writes — width ≤ 8 ops
@@ -613,9 +614,10 @@ func (s *sim) writeRegFast(f *frame, r ir.Reg, v int64) {
 	f.spill = append(f.spill, e)
 }
 
-// writeReg queues a multi-cycle result into its landing slot on the
-// writeback wheel, spilling past a full slot. Latency-1 results take
-// writeRegFast instead (the call sites dispatch on d.lat).
+// writeReg queues a multi-cycle result that is not stored at issue into
+// its landing slot on the writeback wheel, spilling past a full slot.
+// Latency-1 results take writeRegFast instead (the call sites dispatch
+// on d.lat).
 func (s *sim) writeReg(f *frame, r ir.Reg, v int64, lat int64) {
 	if r == 0 {
 		return
@@ -738,16 +740,16 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 			return 0, fmt.Errorf("vliw: pc %d out of range in %s", pc, fc.F.Name)
 		}
 
-		// Region fast path: at the head of a replayable region — a
-		// resident loop or a straight-line run — whole trips execute
-		// through the pre-decoded region runner (see region.go) with
-		// per-trip batched accounting, provided the plan aligns with the
-		// region. The runner does the per-trip head fetch itself, so all
+		// Region fast path: at the head of a resident loop, or anywhere
+		// in a straight-line run, whole trips execute through the
+		// pre-decoded region runner (see region.go) with per-trip
+		// batched accounting, provided the plan aligns with the region.
+		// The runner does the per-trip entry fetch itself, so all
 		// buffer-state transitions (entry, record→replay, exit) happen
 		// exactly as interpretively.
-		if !s.opts.NoFastPath && len(df.regionHead) > 0 {
-			if ri := df.regionHead[pc]; ri >= 0 && fx.regionUse[ri] {
-				next, last, err := s.runRegion(f, fx, int(ri), &sc, prev)
+		if !s.opts.NoFastPath && len(df.regionAt) > 0 {
+			if ri := df.regionAt[pc]; ri >= 0 && fx.regionUse[ri] {
+				next, last, err := s.runRegion(f, fx, int(ri), pc, &sc, prev)
 				if err != nil {
 					return 0, err
 				}
@@ -981,12 +983,14 @@ func (s *sim) issueRun(f *frame, df *decodedFunc, pc, end int, sc *scratch) (int
 				for pi := uint8(0); pi < d.NPD; pi++ {
 					pd := d.PD[pi]
 					v, w := pd.Type.Update(guard, cond)
-					if w {
-						if d.lat == 1 {
-							s.writePredFast(f, pd.Pred, v)
-						} else {
-							s.writePred(f, pd.Pred, v, d.lat)
-						}
+					switch {
+					case !w:
+					case d.pdDirect[pi]:
+						f.preds[pd.Pred] = v
+					case d.lat == 1:
+						s.writePredFast(f, pd.Pred, v)
+					default:
+						s.writePred(f, pd.Pred, v, d.lat)
 					}
 				}
 
