@@ -25,7 +25,7 @@ race:
 # Figure 7 benchmarks, the simulator throughput benches
 # (SimulatorThroughput, SimsPerSec and SimsPerSecPMU, which alternates
 # sampled and unsampled sweeps) and the
-# per-layer Interp and ModuloHeuristic benches, each
+# per-layer Interp, ModuloHeuristic, Execute and Fold benches, each
 # sampled in BENCH_COUNT fresh processes so in-process caches cannot
 # flatter the numbers and benchdiff gets real per-metric variance.
 bench:
@@ -34,7 +34,7 @@ bench:
 # bench-headline additionally covers every paper figure (slower).
 bench-headline:
 	$(GO) run ./cmd/benchjson -benchtime 1x -count $(BENCH_COUNT) -out BENCH_simulator.json \
-		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU,BenchmarkInterp,BenchmarkModuloHeuristic'
+		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU,BenchmarkInterp,BenchmarkModuloHeuristic,BenchmarkExecute,BenchmarkFold'
 
 # bench-pair benchmarks BASE (default HEAD~1) in a detached worktree
 # and then the current tree, writing bench-old.json and bench-new.json.

@@ -20,10 +20,12 @@ import (
 	"lpbuf/internal/experiments"
 	"lpbuf/internal/interp"
 	"lpbuf/internal/ir"
+	"lpbuf/internal/loopbuffer"
 	"lpbuf/internal/machine"
 	"lpbuf/internal/obs/pmu"
 	"lpbuf/internal/profile"
 	"lpbuf/internal/sched"
+	"lpbuf/internal/vliw"
 )
 
 // shared suite so compiled benchmarks are reused across benches.
@@ -254,18 +256,8 @@ func BenchmarkInterp(b *testing.B) {
 // count.
 func BenchmarkModuloHeuristic(b *testing.B) {
 	var progs []*ir.Program
-	for _, bm := range suite.All() {
-		prog := bm.Build()
-		ref := sync.OnceValues(func() (*core.Reference, error) {
-			return core.RunReference(prog)
-		})
-		for _, cfg := range []core.Config{core.Traditional(256), core.Aggressive(256)} {
-			c, err := core.CompileWithReference(prog, cfg, ref)
-			if err != nil {
-				b.Fatal(err)
-			}
-			progs = append(progs, c.TransformedIR)
-		}
+	for _, c := range tableCompiles(b) {
+		progs = append(progs, c.TransformedIR)
 	}
 	m := machine.Default()
 	clones := make([]*ir.Program, len(progs))
@@ -294,6 +286,100 @@ func BenchmarkModuloHeuristic(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(kernels*b.N), "ns/kernel")
 	b.ReportMetric(float64(kernels), "kernels/run")
+}
+
+// tableCompiles compiles the 11 Table 1 programs in both paper
+// configurations, the 22 compiles a Figure 7 round simulates.
+func tableCompiles(b *testing.B) []*core.Compiled {
+	var cs []*core.Compiled
+	for _, bm := range suite.All() {
+		prog := bm.Build()
+		ref := sync.OnceValues(func() (*core.Reference, error) {
+			return core.RunReference(prog)
+		})
+		for _, cfg := range []core.Config{core.Traditional(256), core.Aggressive(256)} {
+			c, err := core.CompileWithReference(prog, cfg, ref)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+// BenchmarkExecute measures the simulator as a sweep uses it: each
+// iteration executes the 22 compiles plan-free (vliw.Execute), recording
+// their loop-level traces. The compiles, and the decode their first
+// execution caches, stay outside the timer. It reports ns per simulated
+// op and the ops one iteration issues, a deterministic count.
+func BenchmarkExecute(b *testing.B) {
+	cs := tableCompiles(b)
+	var ops int64
+	for _, c := range cs {
+		x, err := vliw.Execute(c.Code, vliw.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs, err := x.Fold([]*vliw.BufferPlan{nil}, []string{""})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops += rs[0].Stats.OpsIssued
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cs {
+			if _, err := vliw.Execute(c.Code, vliw.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*int64(b.N)), "ns/sim-op")
+	b.ReportMetric(float64(ops), "sim-ops/run")
+}
+
+// BenchmarkFold measures the fold as a sweep uses it: each iteration
+// folds every Figure 7 capacity's plan over each of the 22 compiles'
+// traces, one plan per Fold call (plans=1) or all eight in one call
+// (plans=8). Executions and plans stay outside the timer. It reports
+// ns per folded plan.
+func BenchmarkFold(b *testing.B) {
+	type sweep struct {
+		x      *vliw.Execution
+		plans  []*vliw.BufferPlan
+		labels []string
+	}
+	var sweeps []sweep
+	for _, c := range tableCompiles(b) {
+		x, err := vliw.Execute(c.Code, vliw.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := x.Weights()
+		sw := sweep{x: x}
+		for _, capacity := range experiments.BufferSizes {
+			sw.plans = append(sw.plans, loopbuffer.Plan(c.Code, w, capacity))
+			sw.labels = append(sw.labels, "")
+		}
+		sweeps = append(sweeps, sw)
+	}
+	for _, per := range []int{1, len(experiments.BufferSizes)} {
+		b.Run(fmt.Sprintf("plans=%d", per), func(b *testing.B) {
+			plans := 0
+			for i := 0; i < b.N; i++ {
+				for _, sw := range sweeps {
+					for j := 0; j < len(sw.plans); j += per {
+						if _, err := sw.x.Fold(sw.plans[j:j+per], sw.labels[j:j+per]); err != nil {
+							b.Fatal(err)
+						}
+						plans += per
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(plans), "ns/plan")
+		})
+	}
 }
 
 // sweepsPerIter is how many full buffer sweeps one b.N iteration of

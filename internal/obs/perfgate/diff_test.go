@@ -198,6 +198,42 @@ func TestModuloHeuristicBands(t *testing.T) {
 	}
 }
 
+// TestSimulatorLayerBands: BenchmarkExecute's ns/sim-op and
+// BenchmarkFold's ns/plan are wall clock, lower is better, inside a 5%
+// noise band; Execute's sim-ops/run is a deterministic count.
+func TestSimulatorLayerBands(t *testing.T) {
+	base := []float64{12.0, 12.2, 11.8, 12.0, 12.4}
+	scaled := func(f float64) []float64 {
+		out := make([]float64, len(base))
+		for i, v := range base {
+			out[i] = v * f
+		}
+		return out
+	}
+	for _, c := range []struct {
+		bench, unit string
+		factor      float64
+		want        Verdict
+	}{
+		{"Execute", "ns/sim-op", 1.02, VerdictOK},
+		{"Execute", "ns/sim-op", 1.20, VerdictRegression},
+		{"Execute", "ns/sim-op", 0.80, VerdictImprovement},
+		{"Fold/plans=8", "ns/plan", 1.02, VerdictOK},
+		{"Fold/plans=8", "ns/plan", 1.20, VerdictRegression},
+	} {
+		old := artifact(map[string]map[string][]float64{c.bench: {c.unit: base, "sim-ops/run": {31494745}}})
+		cur := artifact(map[string]map[string][]float64{c.bench: {c.unit: scaled(c.factor), "sim-ops/run": {31494745}}})
+		if row := findRow(t, Compare(old, cur, Options{}), c.bench, c.unit); row.Verdict != c.want {
+			t.Errorf("%s %s x%.2f: verdict = %s, want %s", c.bench, c.unit, c.factor, row.Verdict, c.want)
+		}
+	}
+	old := artifact(map[string]map[string][]float64{"Execute": {"ns/sim-op": base, "sim-ops/run": {31494745}}})
+	cur := artifact(map[string]map[string][]float64{"Execute": {"ns/sim-op": base, "sim-ops/run": {31494746}}})
+	if row := findRow(t, Compare(old, cur, Options{}), "Execute", "sim-ops/run"); row.Verdict != VerdictRegression {
+		t.Errorf("sim-ops/run +1: verdict = %s, want REGRESSION (exact)", row.Verdict)
+	}
+}
+
 // TestImprovementDoesNotFail: a significant speedup is reported but
 // does not trip the gate.
 func TestImprovementDoesNotFail(t *testing.T) {
