@@ -305,8 +305,9 @@ func clearWrites(ops []dop, l loc) {
 // (fallthrough and every branch target) and whether it calls or
 // returns.
 type bundleGraph struct {
-	succ    [][]int32
-	barrier []bool
+	// succ[off[pc]:off[pc+1]] are bundle pc's successors.
+	off, succ []int32
+	barrier   []bool
 	// seen stamps the bundles window has visited; cur and next are its
 	// frontiers.
 	seen      []int32
@@ -316,23 +317,25 @@ type bundleGraph struct {
 
 func newBundleGraph(df *decodedFunc) *bundleGraph {
 	n := len(df.bundles)
-	g := &bundleGraph{succ: make([][]int32, n), barrier: make([]bool, n), seen: make([]int32, n)}
+	g := &bundleGraph{off: make([]int32, n+1), succ: make([]int32, 0, n),
+		barrier: make([]bool, n), seen: make([]int32, n)}
 	in := func(t int32) bool { return t >= 0 && int(t) < n }
 	for pc := range df.bundles {
 		db := &df.bundles[pc]
 		if in(db.fall) {
-			g.succ[pc] = append(g.succ[pc], db.fall)
+			g.succ = append(g.succ, db.fall)
 		}
 		for i := range db.ops {
 			switch d := &db.ops[i]; d.Kind {
 			case ir.KindBr, ir.KindJump, ir.KindBrCLoop:
 				if in(d.target) {
-					g.succ[pc] = append(g.succ[pc], d.target)
+					g.succ = append(g.succ, d.target)
 				}
 			case ir.KindCall, ir.KindRet:
 				g.barrier[pc] = true
 			}
 		}
+		g.off[pc+1] = int32(len(g.succ))
 	}
 	return g
 }
@@ -346,7 +349,7 @@ func (g *bundleGraph) window(pc, cycles int, visit func(q int)) {
 	for c := 0; c < cycles && len(g.cur) > 0; c++ {
 		g.next = g.next[:0]
 		for _, p := range g.cur {
-			for _, q := range g.succ[p] {
+			for _, q := range g.succ[g.off[p]:g.off[p+1]] {
 				if g.seen[q] != g.stamp {
 					g.seen[q] = g.stamp
 					g.next = append(g.next, q)
