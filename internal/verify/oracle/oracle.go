@@ -194,11 +194,7 @@ func checkFolds(code *sched.Code, plans []*vliw.BufferPlan, live []*vliw.Result)
 			if err != nil {
 				return fmt.Errorf("%s execution: %w", name, err)
 			}
-			labels := make([]string, len(plans))
-			for i := range labels {
-				labels[i] = "oracle"
-			}
-			folds, err := x.Fold(plans, labels)
+			folds, err := x.Fold(plans, make([]string, len(plans)))
 			if err != nil {
 				return fmt.Errorf("%s fold: %w", name, err)
 			}
