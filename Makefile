@@ -24,8 +24,9 @@ race:
 # bench regenerates BENCH_simulator.json (schema lpbuf/bench/v2): the
 # Figure 7 benchmarks, the simulator throughput benches
 # (SimulatorThroughput, SimsPerSec and SimsPerSecPMU, which alternates
-# sampled and unsampled sweeps) and the
-# per-layer Interp, ModuloHeuristic, Execute and Fold benches, each
+# sampled and unsampled sweeps), the
+# per-layer Interp, ModuloHeuristic, Execute and Fold benches and the
+# verifying scheduler shoot-out round (Shootout), each
 # sampled in BENCH_COUNT fresh processes so in-process caches cannot
 # flatter the numbers and benchdiff gets real per-metric variance.
 bench:
@@ -34,7 +35,7 @@ bench:
 # bench-headline additionally covers every paper figure (slower).
 bench-headline:
 	$(GO) run ./cmd/benchjson -benchtime 1x -count $(BENCH_COUNT) -out BENCH_simulator.json \
-		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU,BenchmarkInterp,BenchmarkModuloHeuristic,BenchmarkExecute,BenchmarkFold'
+		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU,BenchmarkInterp,BenchmarkModuloHeuristic,BenchmarkExecute,BenchmarkFold,BenchmarkShootout'
 
 # bench-pair benchmarks BASE (default HEAD~1) in a detached worktree
 # and then the current tree, writing bench-old.json and bench-new.json.

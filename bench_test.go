@@ -308,6 +308,29 @@ func tableCompiles(b *testing.B) []*core.Compiled {
 	return cs
 }
 
+// BenchmarkShootout measures the scheduler shoot-out as perfbench's
+// shootout-exact workload runs it: each iteration is one Shootout() on
+// a fresh verifying suite with one runner worker, so a round builds
+// each benchmark's front end once and schedules it under both
+// backends. It reports ns per round and the exact-search nodes of one
+// round, a deterministic count.
+func BenchmarkShootout(b *testing.B) {
+	var nodes int64
+	for i := 0; i < b.N; i++ {
+		s := experiments.NewWithOptions(experiments.Options{Workers: 1, Verify: true})
+		rows, err := s.Shootout()
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes = 0
+		for _, r := range rows {
+			nodes += r.SearchNodes
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
+	b.ReportMetric(float64(nodes), "search-nodes/round")
+}
+
 // BenchmarkExecute measures the simulator as a sweep uses it: each
 // iteration executes the 22 compiles plan-free (vliw.Execute), recording
 // their loop-level traces. The compiles, and the decode their first

@@ -132,7 +132,8 @@ type Compiled struct {
 	// Compiles that share a Reference share this pointer.
 	Ref *interp.Result
 	// TransformedIR is the post-transformation, pre-scheduling program
-	// (for predication statistics).
+	// (for predication statistics): the Front's, so compiles that share
+	// a Front share this pointer.
 	TransformedIR *ir.Program
 
 	// Stats reports what the compiler did.
@@ -191,6 +192,39 @@ func Compile(prog *ir.Program, cfg Config) (*Compiled, error) {
 // configs pass a memoized ref, so the program is interpreted once and
 // the span shows the interpretation in whichever compile ran it.
 func CompileWithReference(prog *ir.Program, cfg Config, ref func() (*Reference, error)) (*Compiled, error) {
+	return CompileFront(cfg, func(cfg Config, root *obs.Span) (*Front, error) {
+		return BuildFront(prog, cfg, ref, root)
+	})
+}
+
+// Front is the backend-independent half of a compile: the reference
+// run, inlining, opt, the transform fixpoint and counted-loop
+// conversion, with the verifier checkpoints after each and, on a
+// verifying compile, the transformed-program check. Every
+// modulo-scheduler backend schedules the same program, and a compile
+// schedules a clone of it, so one Front serves compiles under several
+// backends. Compiles only read it.
+type Front struct {
+	// Ref is the reference execution of the original program.
+	Ref *interp.Result
+	// Prog is the transformed, pre-scheduling program.
+	Prog *ir.Program
+	// Stats holds the front's pass statistics; the scheduler's are 0.
+	Stats PassStats
+	// Verified reports that the checkpoints and the transformed-program
+	// check ran.
+	Verified bool
+}
+
+// CompileFront schedules, with cfg's backend, a clone of the program of
+// the front that front returns. front is called once, inside the
+// compile's root span, with the effective config (defaults filled in,
+// Verify forced by the exact backend or -tags verify). A caller that
+// shares fronts keys them by what that config's front depends on (the
+// program, the pass switches and Verify) and builds a missing one with
+// BuildFront under root. A verifying compile rejects an unverified
+// front.
+func CompileFront(cfg Config, front func(cfg Config, root *obs.Span) (*Front, error)) (*Compiled, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Default()
 	}
@@ -209,175 +243,33 @@ func CompileWithReference(prog *ir.Program, cfg Config, ref func() (*Reference, 
 	default:
 		return nil, fmt.Errorf("%s: unknown scheduler backend %q", cfg.Name, cfg.SchedBackend)
 	}
-	c := &Compiled{Config: cfg, weights: &weightsMemo{}}
-	c.Stats.OrigOps = prog.OpCount()
 
 	// Root span for the whole compile; phase children carry IR-size
 	// deltas. All span calls are nil no-ops when cfg.Obs is nil.
 	root := cfg.Obs.StartSpan("compile")
 	root.SetAttr("config", cfg.Name)
-	root.SetInt("orig_ops", c.Stats.OrigOps)
 	defer root.End()
 	cfg.Obs.Counter("compile.total").Inc()
 
-	// Phase checkpoint: re-derive the invariants the preceding phase
-	// must have preserved (see internal/verify); any violation aborts
-	// the compile instead of surfacing as a wrong figure.
-	ck := func(phase string, p *ir.Program) error {
-		if !cfg.Verify {
-			return nil
-		}
-		if err := verify.AsError(verify.Program(phase, p)); err != nil {
-			return fmt.Errorf("%s: %s: %w", cfg.Name, phase, err)
-		}
-		return nil
-	}
-	if err := ck("input", prog); err != nil {
-		return nil, err
-	}
-
-	// Reference execution + initial profile on the original program.
-	sp := root.Child("reference-run")
-	r, err := ref()
-	sp.End()
+	f, err := front(cfg, root)
 	if err != nil {
-		return nil, fmt.Errorf("%s: reference run: %w", cfg.Name, err)
-	}
-	c.Ref = r.Result
-	prof0 := r.Prof
-
-	p := prog.Clone()
-	// Seed block weights from the original-program profile so the
-	// control transformations can make profile-guided decisions
-	// (inlining and the later passes preserve/copy weights).
-	prof0.ApplyWeights(p)
-
-	if cfg.Inline {
-		sp = root.Child("inline")
-		c.Stats.Inlined = inline.Apply(p, prof0, inline.Options{})
-		sp.SetInt("inlined", c.Stats.Inlined)
-		sp.SetInt("ops_after", p.OpCount())
-		sp.End()
-		if err := ck("post-inline", p); err != nil {
-			return nil, err
-		}
-	}
-	sp = root.Child("opt")
-	sp.SetInt("ops_before", p.OpCount())
-	opt.OptimizeSpans(p, sp)
-	sp.SetInt("ops_after", p.OpCount())
-	sp.End()
-	if err := ck("post-opt", p); err != nil {
 		return nil, err
 	}
+	if cfg.Verify && !f.Verified {
+		return nil, fmt.Errorf("%s: verifying compile given an unverified front", cfg.Name)
+	}
+	c := &Compiled{Config: cfg, Ref: f.Ref, TransformedIR: f.Prog, Stats: f.Stats,
+		weights: &weightsMemo{}}
+	root.SetInt("orig_ops", f.Stats.OrigOps)
+	root.SetInt("final_ops", f.Stats.FinalOps)
 
-	// Control transformations interleave: if-converting an inner loop
-	// with internal control flow turns it into a single block, which
-	// can unlock collapsing of its parent, which can expose further
-	// conversion. Iterate to a fixpoint (bounded).
-	if cfg.LoopTransforms || cfg.Predication {
-		sp = root.Child("transform")
-		sp.SetInt("ops_before", p.OpCount())
-		for round := 0; round < 4; round++ {
-			changed := 0
-			for _, name := range p.Order {
-				f := p.Funcs[name]
-				if cfg.LoopTransforms {
-					if !cfg.DisablePeel {
-						n := looptrans.PeelAll(f, looptrans.Options{})
-						c.Stats.Peeled += n
-						changed += n
-					}
-					if !cfg.DisableCollapse {
-						n := looptrans.CollapseAll(f, looptrans.Options{})
-						c.Stats.Collapsed += n
-						changed += n
-					}
-					if !cfg.DisableUnroll {
-						n := looptrans.UnrollAll(f, looptrans.Options{})
-						c.Stats.Unrolled += n
-						changed += n
-					}
-				}
-				if cfg.Predication {
-					n := hyperblock.ConvertLoops(f, hyperblock.Options{})
-					c.Stats.Converted += n
-					changed += n
-				}
-			}
-			if changed == 0 {
-				break
-			}
-		}
-		if cfg.Predication {
-			for _, name := range p.Order {
-				f := p.Funcs[name]
-				if !cfg.DisableCombine {
-					c.Stats.Combined += hyperblock.CombineExits(f)
-				}
-				if !cfg.DisablePromote {
-					c.Stats.Promoted += predicate.Promote(f)
-					c.Stats.Speculated += predicate.SpeculateLoads(f)
-				}
-			}
-		}
-		opt.OptimizeSpans(p, sp)
-		sp.SetInt("ops_after", p.OpCount())
-		sp.SetInt("peeled", c.Stats.Peeled)
-		sp.SetInt("collapsed", c.Stats.Collapsed)
-		sp.SetInt("converted", c.Stats.Converted)
-		sp.SetInt("promoted", c.Stats.Promoted)
-		sp.End()
-		if err := ck("post-transform", p); err != nil {
-			return nil, err
-		}
-	}
-	sp = root.Child("cloopify")
-	for _, name := range p.Order {
-		f := p.Funcs[name]
-		c.Stats.CLoops += looptrans.CLoopifyAll(f)
-		looptrans.MarkLoopBacks(f)
-	}
-	sp.SetInt("cloops", c.Stats.CLoops)
-	sp.End()
-
-	if err := p.Verify(); err != nil {
-		return nil, fmt.Errorf("%s: transformed program invalid: %w", cfg.Name, err)
-	}
-	if err := ck("post-cloop", p); err != nil {
-		return nil, err
-	}
-
-	// A verifying compile interprets the transformed program and checks
-	// it still computes the reference behaviour, so a miscompile is
-	// caught at the transforms; every compile's simulations check it
-	// again on the scheduled code.
-	if cfg.Verify {
-		sp = root.Child("transformed-check")
-		tres, err := interp.Run(p, interp.Options{})
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("%s: transformed program run: %w", cfg.Name, err)
-		}
-		if tres.Ret != c.Ref.Ret || !bytes.Equal(tres.Mem, c.Ref.Mem) {
-			return nil, fmt.Errorf("%s: transformations changed program behaviour", cfg.Name)
-		}
-	}
-	c.TransformedIR = p.Clone()
-	c.Stats.FinalOps = p.OpCount()
-	for _, name := range p.Order {
-		if ml := opt.MaxLive(p.Funcs[name]); ml > c.Stats.MaxLiveRegs {
-			c.Stats.MaxLiveRegs = ml
-		}
-	}
-
-	// Schedule (may rewrite pipelined loop counters inside p).
-	sp = root.Child("schedule")
+	// Schedule a clone: pipelining rewrites loop counters.
+	sp := root.Child("schedule")
 	sopts := sched.Options{EnableModulo: cfg.Modulo, Span: sp}
 	if exact != nil {
 		sopts.Backend = exact
 	}
-	code, err := sched.Schedule(p, cfg.Machine, sopts)
+	code, err := sched.Schedule(f.Prog.Clone(), cfg.Machine, sopts)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", cfg.Name, err)
@@ -403,9 +295,171 @@ func CompileWithReference(prog *ir.Program, cfg Config, ref func() (*Reference, 
 		c.Stats.SchedFallbacks = int(st.Fallbacks)
 		c.Stats.SchedNodes = st.Nodes
 	}
-
-	root.SetInt("final_ops", c.Stats.FinalOps)
 	return c, nil
+}
+
+// BuildFront runs the front end of cfg's pipeline on (a clone of)
+// prog, with ref supplying the reference execution inside the
+// "reference-run" span. Its phase spans are children of root, the
+// span of the compile that asked for it. cfg is the effective config
+// CompileFront passes its front func.
+func BuildFront(prog *ir.Program, cfg Config, ref func() (*Reference, error), root *obs.Span) (*Front, error) {
+	f := &Front{Verified: cfg.Verify}
+	f.Stats.OrigOps = prog.OpCount()
+
+	// Phase checkpoint: re-derive the invariants the preceding phase
+	// must have preserved (see internal/verify); any violation aborts
+	// the compile instead of surfacing as a wrong figure.
+	ck := func(phase string, p *ir.Program) error {
+		if !cfg.Verify {
+			return nil
+		}
+		if err := verify.AsError(verify.Program(phase, p)); err != nil {
+			return fmt.Errorf("%s: %s: %w", cfg.Name, phase, err)
+		}
+		return nil
+	}
+	if err := ck("input", prog); err != nil {
+		return nil, err
+	}
+
+	// Reference execution + initial profile on the original program.
+	sp := root.Child("reference-run")
+	r, err := ref()
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("%s: reference run: %w", cfg.Name, err)
+	}
+	f.Ref = r.Result
+	prof0 := r.Prof
+
+	p := prog.Clone()
+	// Seed block weights from the original-program profile so the
+	// control transformations can make profile-guided decisions
+	// (inlining and the later passes preserve/copy weights).
+	prof0.ApplyWeights(p)
+
+	st := &f.Stats
+	if cfg.Inline {
+		sp = root.Child("inline")
+		st.Inlined = inline.Apply(p, prof0, inline.Options{})
+		sp.SetInt("inlined", st.Inlined)
+		sp.SetInt("ops_after", p.OpCount())
+		sp.End()
+		if err := ck("post-inline", p); err != nil {
+			return nil, err
+		}
+	}
+	sp = root.Child("opt")
+	sp.SetInt("ops_before", p.OpCount())
+	opt.OptimizeSpans(p, sp)
+	sp.SetInt("ops_after", p.OpCount())
+	sp.End()
+	if err := ck("post-opt", p); err != nil {
+		return nil, err
+	}
+
+	// Control transformations interleave: if-converting an inner loop
+	// with internal control flow turns it into a single block, which
+	// can unlock collapsing of its parent, which can expose further
+	// conversion. Iterate to a fixpoint (bounded).
+	if cfg.LoopTransforms || cfg.Predication {
+		sp = root.Child("transform")
+		sp.SetInt("ops_before", p.OpCount())
+		for round := 0; round < 4; round++ {
+			changed := 0
+			for _, name := range p.Order {
+				fn := p.Funcs[name]
+				if cfg.LoopTransforms {
+					if !cfg.DisablePeel {
+						n := looptrans.PeelAll(fn, looptrans.Options{})
+						st.Peeled += n
+						changed += n
+					}
+					if !cfg.DisableCollapse {
+						n := looptrans.CollapseAll(fn, looptrans.Options{})
+						st.Collapsed += n
+						changed += n
+					}
+					if !cfg.DisableUnroll {
+						n := looptrans.UnrollAll(fn, looptrans.Options{})
+						st.Unrolled += n
+						changed += n
+					}
+				}
+				if cfg.Predication {
+					n := hyperblock.ConvertLoops(fn, hyperblock.Options{})
+					st.Converted += n
+					changed += n
+				}
+			}
+			if changed == 0 {
+				break
+			}
+		}
+		if cfg.Predication {
+			for _, name := range p.Order {
+				fn := p.Funcs[name]
+				if !cfg.DisableCombine {
+					st.Combined += hyperblock.CombineExits(fn)
+				}
+				if !cfg.DisablePromote {
+					st.Promoted += predicate.Promote(fn)
+					st.Speculated += predicate.SpeculateLoads(fn)
+				}
+			}
+		}
+		opt.OptimizeSpans(p, sp)
+		sp.SetInt("ops_after", p.OpCount())
+		sp.SetInt("peeled", st.Peeled)
+		sp.SetInt("collapsed", st.Collapsed)
+		sp.SetInt("converted", st.Converted)
+		sp.SetInt("promoted", st.Promoted)
+		sp.End()
+		if err := ck("post-transform", p); err != nil {
+			return nil, err
+		}
+	}
+	sp = root.Child("cloopify")
+	for _, name := range p.Order {
+		fn := p.Funcs[name]
+		st.CLoops += looptrans.CLoopifyAll(fn)
+		looptrans.MarkLoopBacks(fn)
+	}
+	sp.SetInt("cloops", st.CLoops)
+	sp.End()
+
+	if err := p.Verify(); err != nil {
+		return nil, fmt.Errorf("%s: transformed program invalid: %w", cfg.Name, err)
+	}
+	if err := ck("post-cloop", p); err != nil {
+		return nil, err
+	}
+
+	// A verifying compile interprets the transformed program and checks
+	// it still computes the reference behaviour, so a miscompile is
+	// caught at the transforms; every compile's simulations check it
+	// again on the scheduled code.
+	if cfg.Verify {
+		sp = root.Child("transformed-check")
+		tres, err := interp.Run(p, interp.Options{})
+		sp.End()
+		if err != nil {
+			return nil, fmt.Errorf("%s: transformed program run: %w", cfg.Name, err)
+		}
+		if tres.Ret != f.Ref.Ret || !bytes.Equal(tres.Mem, f.Ref.Mem) {
+			return nil, fmt.Errorf("%s: transformations changed program behaviour", cfg.Name)
+		}
+	}
+	st.FinalOps = p.OpCount()
+	for _, name := range p.Order {
+		if ml := opt.MaxLive(p.Funcs[name]); ml > st.MaxLiveRegs {
+			st.MaxLiveRegs = ml
+		}
+	}
+	// Keep a compact clone, not the transforms' working copy.
+	f.Prog = p.Clone()
+	return f, nil
 }
 
 // Run executes the compiled program on the cycle simulator with the

@@ -31,12 +31,12 @@ import (
 var BufferSizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048}
 
 // Cache is the memoization layer behind one or more Suites: compiled
-// benchmarks, reference runs and verified simulation results, each in
-// a memo, so each (benchmark, config) pair compiles at most once and
-// each (benchmark, config, buffer) triple simulates at most once per
-// Cache, no matter how many suites or figures request it concurrently.
-// A long-running service hands every job's Suite the same Cache, which
-// is what makes repeated and overlapping jobs cheap.
+// benchmarks, their front ends, reference runs and verified simulation
+// results, each in a memo, so each (benchmark, config) pair compiles
+// at most once and each (benchmark, config, buffer) triple simulates
+// at most once per Cache, no matter how many suites or figures request
+// it concurrently. A long-running service hands every job's Suite the
+// same Cache, which is what makes repeated and overlapping jobs cheap.
 type Cache struct {
 	compiles memo[string, *core.Compiled]
 	runs     memo[string, *Run]
@@ -47,6 +47,11 @@ type Cache struct {
 	// every config's compile. It is keyed by benchmark name alone: the
 	// reference depends on the program alone.
 	refs memo[string, *core.Reference]
+	// fronts holds one core.Front per benchmark, base config and
+	// effective verify flag, so a config and its "-optimal" variant
+	// schedule one front end's program. Verify is in the key because a
+	// verifying front has run checkpoints an unverified one has not.
+	fronts memo[string, *core.Front]
 }
 
 // NewCache creates an empty compile/run cache.
@@ -213,7 +218,16 @@ func (s *Suite) compiled(name, cfg string) (*core.Compiled, bench.Benchmark, err
 	key := name + "/" + cfg + verifyKeySuffix(s.verify)
 	c, hit, err := s.cc.compiles.get(key, func() (*core.Compiled, error) {
 		s.metrics.CacheMiss()
-		c, err := s.compileShared(name, b.Build(), config)
+		c, err := core.CompileFront(config, func(eff core.Config, root *obs.Span) (*core.Front, error) {
+			f, shared, err := s.cc.fronts.get(name+"/"+base+verifyKeySuffix(eff.Verify), func() (*core.Front, error) {
+				prog := b.Build()
+				return core.BuildFront(prog, eff, s.reference(name, prog), root)
+			})
+			if shared {
+				root.SetAttr("front", "shared")
+			}
+			return f, err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", name, cfg, err)
 		}
@@ -231,12 +245,18 @@ func (s *Suite) compiled(name, cfg string) (*core.Compiled, bench.Benchmark, err
 // compileShared compiles benchmark name's program prog under config,
 // sharing the benchmark's memoized reference run.
 func (s *Suite) compileShared(name string, prog *ir.Program, config core.Config) (*core.Compiled, error) {
-	return core.CompileWithReference(prog, config, func() (*core.Reference, error) {
+	return core.CompileWithReference(prog, config, s.reference(name, prog))
+}
+
+// reference returns benchmark name's memoized reference run of its
+// program prog.
+func (s *Suite) reference(name string, prog *ir.Program) func() (*core.Reference, error) {
+	return func() (*core.Reference, error) {
 		r, _, err := s.cc.refs.get(name, func() (*core.Reference, error) {
 			return core.RunReference(prog)
 		})
 		return r, err
-	})
+	}
 }
 
 // simulating returns c set to report its simulations to this suite. A

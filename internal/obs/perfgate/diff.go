@@ -50,13 +50,15 @@ func DefaultPolicies() map[string]Policy {
 		"unsampled-sims/sec": {Tol: 0.10, Dir: HigherIsBetter},
 		// ns/ir-op is BenchmarkInterp's wall clock per interpreted IR
 		// op, ns/kernel BenchmarkModuloHeuristic's per pipelined
-		// kernel, ns/sim-op BenchmarkExecute's per simulated op and
-		// ns/plan BenchmarkFold's per folded plan: noise bands like
+		// kernel, ns/sim-op BenchmarkExecute's per simulated op,
+		// ns/plan BenchmarkFold's per folded plan and ns/round
+		// BenchmarkShootout's per shoot-out round: noise bands like
 		// ns/op's.
 		"ns/ir-op":  {Tol: 0.05, Dir: LowerIsBetter},
 		"ns/kernel": {Tol: 0.05, Dir: LowerIsBetter},
 		"ns/sim-op": {Tol: 0.05, Dir: LowerIsBetter},
 		"ns/plan":   {Tol: 0.05, Dir: LowerIsBetter},
+		"ns/round":  {Tol: 0.05, Dir: LowerIsBetter},
 	}
 }
 
@@ -82,10 +84,10 @@ func ratioRowName(bench string) string { return bench + ":sampled/unsampled" }
 // then the defaults table, then the deterministic-exact fallback for
 // custom b.ReportMetric units. Every custom unit this repo emits that
 // is not in the defaults table — %buffer@N, sim-ops/run, ir-ops/run,
-// kernels/run, avg-speedup — is a deterministic fact of the program, so
-// unknown units default to exact two-sided; wall-clock-derived units
-// (sims/sec, ns/ir-op, ns/kernel, ns/sim-op, ns/plan) must instead be
-// listed above with a noise band.
+// kernels/run, search-nodes/round, avg-speedup — is a deterministic
+// fact of the program, so unknown units default to exact two-sided;
+// wall-clock-derived units (sims/sec, ns/ir-op, ns/kernel, ns/sim-op,
+// ns/plan, ns/round) must instead be listed above with a noise band.
 func policyFor(name string, overrides map[string]Policy) Policy {
 	if p, ok := overrides[name]; ok {
 		return p

@@ -234,6 +234,44 @@ func TestSimulatorLayerBands(t *testing.T) {
 	}
 }
 
+// TestShootoutBands: BenchmarkShootout's ns/round is wall clock, lower
+// is better, inside a 5% noise band, while its search-nodes/round is a
+// deterministic count that may not drift either way.
+func TestShootoutBands(t *testing.T) {
+	base := []float64{8.0e8, 8.1e8, 7.9e8, 8.0e8, 8.2e8}
+	scaled := func(f float64) []float64 {
+		out := make([]float64, len(base))
+		for i, v := range base {
+			out[i] = v * f
+		}
+		return out
+	}
+	old := artifact(map[string]map[string][]float64{
+		"Shootout": {"ns/round": base, "search-nodes/round": {10002}},
+	})
+	cases := []struct {
+		name   string
+		ns     []float64
+		nodes  float64
+		metric string
+		want   Verdict
+	}{
+		{"ns/round +2%", scaled(1.02), 10002, "ns/round", VerdictOK},
+		{"ns/round +20%", scaled(1.20), 10002, "ns/round", VerdictRegression},
+		{"ns/round -20%", scaled(0.80), 10002, "ns/round", VerdictImprovement},
+		{"search-nodes/round -1", base, 10001, "search-nodes/round", VerdictRegression},
+		{"search-nodes/round +1", base, 10003, "search-nodes/round", VerdictRegression},
+	}
+	for _, c := range cases {
+		cur := artifact(map[string]map[string][]float64{
+			"Shootout": {"ns/round": c.ns, "search-nodes/round": {c.nodes}},
+		})
+		if row := findRow(t, Compare(old, cur, Options{}), "Shootout", c.metric); row.Verdict != c.want {
+			t.Errorf("%s: verdict = %s (delta %+.3f, p=%v), want %s", c.name, row.Verdict, row.Delta, row.P, c.want)
+		}
+	}
+}
+
 // TestImprovementDoesNotFail: a significant speedup is reported but
 // does not trip the gate.
 func TestImprovementDoesNotFail(t *testing.T) {

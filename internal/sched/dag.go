@@ -330,8 +330,14 @@ func BuildDAG(ops []*ir.Op, m *machine.Desc, alias *AliasInfo, selfLoop bool) *D
 			})
 		}
 	}
-	// Heights over same-iteration edges (acyclic by program order).
-	for i := n - 1; i >= 0; i-- {
+	d.setHeights()
+	return d
+}
+
+// setHeights computes Height over same-iteration edges (acyclic by
+// program order).
+func (d *DAG) setHeights() {
+	for i := len(d.Ops) - 1; i >= 0; i-- {
 		h := 0
 		for _, e := range d.Succs[i] {
 			if e.Dist != 0 {
@@ -343,5 +349,26 @@ func BuildDAG(ops []*ir.Op, m *machine.Desc, alias *AliasInfo, selfLoop bool) *D
 		}
 		d.Height[i] = h
 	}
-	return d
+}
+
+// withoutLast returns d restricted to all but its last op, with Height
+// recomputed. When the last op is a counted loop's br.cloop, whose
+// counter no other op reads or writes, that is exactly the loop body's
+// own DAG: the branch adds edges only into itself and onto itself, and
+// none between two body ops. The restriction shares d's edges.
+func (d *DAG) withoutLast() *DAG {
+	n := len(d.Ops) - 1
+	r := &DAG{Ops: d.Ops[:n:n], Succs: make([][]Edge, n), Preds: make([][]Edge, n),
+		Height: make([]int, n)}
+	// Adjacency lists are sorted by To, so edges touching op n end
+	// each list.
+	below := func(es []Edge) []Edge {
+		k := sort.Search(len(es), func(j int) bool { return es[j].To >= n })
+		return es[:k:k]
+	}
+	for i := 0; i < n; i++ {
+		r.Succs[i], r.Preds[i] = below(d.Succs[i]), below(d.Preds[i])
+	}
+	r.setHeights()
+	return r
 }

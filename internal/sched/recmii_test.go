@@ -55,6 +55,46 @@ func cloopDAGs(prog *ir.Program, m *machine.Desc, label string) []cloopDAG {
 	return out
 }
 
+// transformed is one compile's pre-scheduling program, labelled.
+type transformed struct {
+	label string
+	prog  *ir.Program
+	bench bool // one of the 22 Table 1 compiles, not the corpus
+}
+
+// transformedPrograms compiles, once per test binary, the 22 Table 1
+// compiles and the oracle corpus (200 seeds) at its modulo-scheduling
+// levels, O1 and O3, and returns their transformed programs.
+var transformedPrograms = sync.OnceValues(func() ([]transformed, error) {
+	var out []transformed
+	for _, bm := range suite.All() {
+		prog := bm.Build()
+		ref := sync.OnceValues(func() (*core.Reference, error) {
+			return core.RunReference(prog)
+		})
+		for _, cfg := range []core.Config{core.Traditional(256), core.Aggressive(256)} {
+			c, err := core.CompileWithReference(prog, cfg, ref)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", bm.Name, cfg.Name, err)
+			}
+			out = append(out, transformed{bm.Name + "/" + cfg.Name, c.TransformedIR, true})
+		}
+	}
+	for _, cfg := range oracle.Levels() {
+		if !cfg.Modulo {
+			continue
+		}
+		for seed := int64(0); seed < 200; seed++ {
+			c, err := core.Compile(gen.Program(seed), cfg)
+			if err != nil {
+				return nil, fmt.Errorf("seed %d %s: %w", seed, cfg.Name, err)
+			}
+			out = append(out, transformed{fmt.Sprintf("seed%d/%s", seed, cfg.Name), c.TransformedIR, false})
+		}
+	}
+	return out, nil
+})
+
 // TestSkippedIIsCannotSchedule pins why the II search may start at the
 // exact recurrence bound: on every counted loop of the 22 transformed
 // benchmark programs and of the oracle corpus, the dependence system
@@ -65,31 +105,17 @@ func cloopDAGs(prog *ir.Program, m *machine.Desc, label string) []cloopDAG {
 // dependence cycle spans distance >= 1.
 func TestSkippedIIsCannotSchedule(t *testing.T) {
 	m := machine.Default()
-	var loops []cloopDAG
-	for _, bm := range suite.All() {
-		prog := bm.Build()
-		ref := sync.OnceValues(func() (*core.Reference, error) {
-			return core.RunReference(prog)
-		})
-		for _, cfg := range []core.Config{core.Traditional(256), core.Aggressive(256)} {
-			c, err := core.CompileWithReference(prog, cfg, ref)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", bm.Name, cfg.Name, err)
-			}
-			loops = append(loops, cloopDAGs(c.TransformedIR, m, bm.Name+"/"+cfg.Name)...)
-		}
+	progs, err := transformedPrograms()
+	if err != nil {
+		t.Fatal(err)
 	}
-	benchLoops := len(loops)
-	for _, cfg := range oracle.Levels() {
-		if !cfg.Modulo {
-			continue
-		}
-		for seed := int64(0); seed < 200; seed++ {
-			c, err := core.Compile(gen.Program(seed), cfg)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, cfg.Name, err)
-			}
-			loops = append(loops, cloopDAGs(c.TransformedIR, m, fmt.Sprintf("seed%d/%s", seed, cfg.Name))...)
+	var loops []cloopDAG
+	benchLoops := 0
+	for _, tp := range progs {
+		ls := cloopDAGs(tp.prog, m, tp.label)
+		loops = append(loops, ls...)
+		if tp.bench {
+			benchLoops += len(ls)
 		}
 	}
 	if benchLoops == 0 || len(loops) == benchLoops {
@@ -128,6 +154,80 @@ func TestSkippedIIsCannotSchedule(t *testing.T) {
 		}
 	}
 	t.Logf("%d loops (%d from the benchmarks), %d IIs below RecMII", len(loops), benchLoops, skipped)
+}
+
+// TestBodyDAGIsRestrictedBlockDAG pins the one DAG a pipelined loop
+// builds: on every pipelining candidate of the 22 Table 1 compiles and
+// of the O1/O3 corpus, the block's DAG restricted to the body (the
+// graph the backend schedules) equals the body's own DAG edge for
+// edge, heights included.
+func TestBodyDAGIsRestrictedBlockDAG(t *testing.T) {
+	m := machine.Default()
+	progs, err := transformedPrograms()
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates, benchCandidates := 0, 0
+	for _, tp := range progs {
+		for _, name := range tp.prog.Order {
+			f := tp.prog.Funcs[name]
+			alias := sched.AnalyzeAlias(tp.prog, f)
+			for _, b := range f.Blocks {
+				if sched.LoopCounterInit(f, b) == nil {
+					continue
+				}
+				candidates++
+				if tp.bench {
+					benchCandidates++
+				}
+				got := sched.WithoutLast(sched.BuildDAG(b.Ops, m, alias, true))
+				want := sched.BuildDAG(b.Ops[:len(b.Ops)-1], m, alias, true)
+				if diff := dagDiff(got, want); diff != "" {
+					t.Errorf("%s/%s/B%d: restricted block DAG differs from the body DAG: %s",
+						tp.label, name, b.ID, diff)
+				}
+			}
+		}
+	}
+	if benchCandidates == 0 || candidates == benchCandidates {
+		t.Fatalf("checked %d benchmark and %d corpus candidates; both sets must be non-empty",
+			benchCandidates, candidates-benchCandidates)
+	}
+	t.Logf("%d candidate loops (%d from the benchmarks)", candidates, benchCandidates)
+}
+
+// dagDiff describes the first difference between two DAGs ("" when
+// they have the same ops, edges and heights).
+func dagDiff(got, want *sched.DAG) string {
+	if len(got.Ops) != len(want.Ops) {
+		return fmt.Sprintf("%d ops, want %d", len(got.Ops), len(want.Ops))
+	}
+	edges := func(kind string, i int, g, w []sched.Edge) string {
+		if len(g) != len(w) {
+			return fmt.Sprintf("op %d: %d %s, want %d", i, len(g), kind, len(w))
+		}
+		for k := range g {
+			if g[k] != w[k] {
+				return fmt.Sprintf("op %d: %s %d is %+v, want %+v", i, kind, k, g[k], w[k])
+			}
+		}
+		return ""
+	}
+	for i := range want.Ops {
+		if got.Ops[i] != want.Ops[i] {
+			return fmt.Sprintf("op %d differs", i)
+		}
+		if d := edges("succs", i, got.Succs[i], want.Succs[i]); d != "" {
+			return d
+		}
+		if d := edges("preds", i, got.Preds[i], want.Preds[i]); d != "" {
+			return d
+		}
+		if got.Height[i] != want.Height[i] {
+			return fmt.Sprintf("op %d: height %d, want %d", i, got.Height[i], want.Height[i])
+		}
+	}
+	return ""
 }
 
 // pointerChaseDAG is a 3-load pointer chase, p1 = [p3]; p2 = [p1];

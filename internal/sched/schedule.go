@@ -166,24 +166,22 @@ func scheduleBlock(prog *ir.Program, f *ir.Func, b *ir.Block, m *machine.Desc,
 	return []*BlockCode{{Block: b.ID, Kind: KindStraight, Bundles: bundles}}
 }
 
-// tryModuloBlock recognizes a pipelinable counted loop and emits
-// prologue/kernel/epilogue sections. Returns nil when not applicable.
-func tryModuloBlock(prog *ir.Program, f *ir.Func, b *ir.Block, m *machine.Desc,
-	alias *AliasInfo, opts Options) []*BlockCode {
-
+// loopCounterInit returns the literal move that sets counted loop b's
+// trip counter when b can be pipelined: b closes on itself with an
+// unguarded br.cloop, its body has no side exit, call, return or
+// buffer op, and no op but the br.cloop reads or writes the counter,
+// which one move outside the loop sets. Otherwise it returns nil.
+func loopCounterInit(f *ir.Func, b *ir.Block) *ir.Op {
 	last := b.LastOp()
 	if last == nil || last.Opcode != ir.OpBrCLoop || last.Target != b.ID || last.Guard != 0 {
 		return nil
 	}
-	body := b.Ops[:len(b.Ops)-1]
-	for _, op := range body {
+	for _, op := range b.Ops[:len(b.Ops)-1] {
 		if op.IsBranch() || op.Opcode == ir.OpCall || op.Opcode == ir.OpRet || op.IsBufferOp() {
 			return nil // side exits and calls prevent pipelining
 		}
 	}
 	cnt := last.Src[0]
-	// The counter must be used only by the loop-back branch, defined
-	// once outside the loop by a literal move.
 	var init *ir.Op
 	for _, ob := range f.Blocks {
 		for _, op := range ob.Ops {
@@ -207,26 +205,39 @@ func tryModuloBlock(prog *ir.Program, f *ir.Func, b *ir.Block, m *machine.Desc,
 			}
 		}
 	}
+	return init
+}
+
+// tryModuloBlock recognizes a pipelinable counted loop and emits
+// prologue/kernel/epilogue sections. Returns nil when not applicable.
+func tryModuloBlock(prog *ir.Program, f *ir.Func, b *ir.Block, m *machine.Desc,
+	alias *AliasInfo, opts Options) []*BlockCode {
+
+	init := loopCounterInit(f, b)
 	if init == nil {
 		return nil
 	}
+	last := b.LastOp()
+	body := b.Ops[:len(b.Ops)-1]
 	trips := init.Imm
 	if trips < 2 {
 		return nil
 	}
 
-	d := BuildDAG(body, m, alias, true)
+	// One DAG serves both schedules: since only the br.cloop touches
+	// its counter, the body's DAG is the block's restricted to the body.
+	blockDAG := BuildDAG(b.Ops, m, alias, true)
 	backend := opts.Backend
 	if backend == nil {
 		backend = Heuristic()
 	}
-	ks := backend.ScheduleLoop(d, m)
+	ks := backend.ScheduleLoop(blockDAG.withoutLast(), m)
 	if ks == nil || int64(ks.Stages) > trips {
 		return nil
 	}
 	// A pipelined schedule must beat the non-pipelined length to be
 	// worth the expansion.
-	_, listLen := ListSchedule(BuildDAG(b.Ops, m, alias, true), m)
+	_, listLen := ListSchedule(blockDAG, m)
 	if ks.II >= listLen {
 		return nil
 	}

@@ -137,7 +137,8 @@ var pmuConfig = &pmu.Config{Period: samplePeriod, Seed: 1}
 // checkFastPath runs plan live on the region fast path and on the
 // interpretive path, each with the cycle-level event ring and PMU
 // sampling on, and requires identical results, event streams and
-// profiles. It returns the fast path's result.
+// profiles, counter-track series included. It returns the fast path's
+// result.
 func checkFastPath(code *sched.Code, plan *vliw.BufferPlan) (*vliw.Result, error) {
 	run := func(noFast bool) (*vliw.Result, *obs.Obs, error) {
 		o := obs.New(obs.Config{SimEvents: true, SimRingSize: eventRing})
@@ -160,6 +161,9 @@ func checkFastPath(code *sched.Code, plan *vliw.BufferPlan) (*vliw.Result, error
 		return nil, fmt.Errorf("profiles differ: %d samples (fast) vs %d (interpretive)",
 			fast.Profile.Total(), slow.Profile.Total())
 	}
+	if err := sameSeries("fast", "interpretive", fast.Profile, slow.Profile); err != nil {
+		return nil, err
+	}
 	if ft, st := fastObs.Sim.Total(), slowObs.Sim.Total(); ft != st {
 		return nil, fmt.Errorf("event totals %d (fast) != %d (interpretive)", ft, st)
 	}
@@ -178,7 +182,7 @@ func checkFastPath(code *sched.Code, plan *vliw.BufferPlan) (*vliw.Result, error
 // checkFolds executes the program plan-free on both paths, with and
 // without sampling, and requires every plan's fold to report the live
 // run's result (live[i] for plans[i]) and, when sampled, its PMU
-// attribution.
+// attribution and counter-track series.
 func checkFolds(code *sched.Code, plans []*vliw.BufferPlan, live []*vliw.Result) error {
 	for _, noFast := range []bool{false, true} {
 		for _, sampled := range []bool{false, true} {
@@ -203,12 +207,36 @@ func checkFolds(code *sched.Code, plans []*vliw.BufferPlan, live []*vliw.Result)
 				if err := sameResult(name+" fold", "live", r, live[i]); err != nil {
 					return fmt.Errorf("buf%d: %w", plan.Capacity, err)
 				}
-				if sampled && !r.Profile.Equal(live[i].Profile) {
+				if !sampled {
+					continue
+				}
+				if !r.Profile.Equal(live[i].Profile) {
 					return fmt.Errorf("buf%d: profiles differ: %d samples (%s fold) vs %d (live)",
 						plan.Capacity, r.Profile.Total(), name, live[i].Profile.Total())
 				}
+				if err := sameSeries(name+" fold", "live", r.Profile, live[i].Profile); err != nil {
+					return fmt.Errorf("buf%d: %w", plan.Capacity, err)
+				}
 			}
 		}
+	}
+	return nil
+}
+
+// sameSeries reports the first difference between two profiles'
+// counter-track series.
+func sameSeries(gotName, wantName string, got, want *pmu.Profile) error {
+	series := func(p *pmu.Profile) []pmu.Point {
+		return pmu.NewDocument(pmu.Config{}, []*pmu.Profile{p}).Profiles[0].Series
+	}
+	g, w := series(got), series(want)
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			return fmt.Errorf("series point %d: %+v (%s) != %+v (%s)", i, g[i], gotName, w[i], wantName)
+		}
+	}
+	if len(g) != len(w) {
+		return fmt.Errorf("%d series points (%s) != %d (%s)", len(g), gotName, len(w), wantName)
 	}
 	return nil
 }

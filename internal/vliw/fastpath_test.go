@@ -19,10 +19,10 @@ import (
 // three buffer capacities, a live run with the pre-decoded fast path
 // must be indistinguishable from the interpretive path — same return
 // value, same final memory, same Stats (including per-loop buffer
-// hit/miss splits), the same PMU samples and the same cycle-level obs
-// event stream, event for event. Each capacity's plan folded over one
-// sampled plan-free execution must report the live run's Stats,
-// samples and counter-track series.
+// hit/miss splits), the same PMU samples and counter-track series and
+// the same cycle-level obs event stream, event for event. Each
+// capacity's plan folded over one sampled plan-free execution must
+// report the live run's Stats, samples and counter-track series.
 func TestFastPathDifferential(t *testing.T) {
 	benches := suite.All()
 	capacities := []int{16, 64, 256}
@@ -93,6 +93,10 @@ func TestFastPathDifferential(t *testing.T) {
 					if !fast.Profile.Equal(slow.Profile) {
 						t.Errorf("capacity %d: samples differ (fast vs interpretive)", capacity)
 					}
+					if fs, ss := series(fast), series(slow); !reflect.DeepEqual(fs, ss) {
+						t.Errorf("capacity %d: counter-track series differ (fast vs interpretive): %s",
+							capacity, firstPointDiff(fs, ss))
+					}
 					if !reflect.DeepEqual(fold.Stats, fast.Stats) {
 						t.Errorf("capacity %d: stats differ:\nfold: %+v\nlive: %+v",
 							capacity, fold.Stats, fast.Stats)
@@ -129,4 +133,14 @@ var sampling = &pmu.Config{Period: 512, Seed: 5}
 func series(r *vliw.Result) []pmu.Point {
 	d := pmu.NewDocument(pmu.Config{}, []*pmu.Profile{r.Profile})
 	return d.Profiles[0].Series
+}
+
+// firstPointDiff describes the first point where two series differ.
+func firstPointDiff(a, b []pmu.Point) string {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return fmt.Sprintf("point %d of %d: %+v vs %+v", i, len(a), a[i], b[i])
+		}
+	}
+	return fmt.Sprintf("%d points vs %d", len(a), len(b))
 }

@@ -67,7 +67,7 @@ func (x *Execution) Fold(plans []*BufferPlan, labels []string) ([]*Result, error
 				if sm.sec >= 0 {
 					pl, fb = p.a.buf.loop(p.idx[sm.sec]), p.fromBuf
 				}
-				p.a.sample(sm.fn, pl, sm.pc, sm.cycle, sm.ops, fb, sm.shared)
+				p.a.sample(sm.fn, pl, sm.pc, sm.cycle, sm.ops, fb, sm.shared, sm.ahead)
 			}
 		}
 	}

@@ -306,19 +306,22 @@ func newRegion(df *decodedFunc, start, end int, loop bool) region {
 // so a live run attributes each sample exactly as the per-bundle hook
 // would, and a plan-free execution records it for the folds; the
 // differential PMU test pins that. Must run after the trip's fetch
-// accounting so counter-track points see it. Callers pre-check that a
-// sample is due inside the trip window (this function has a loop, so
-// the compiler cannot inline the common no-sample case away).
+// accounting; each counter-track point then leaves out the trip's ops
+// after its sampled bundle, so it reads what the per-bundle hook
+// would. Callers pre-check that a sample is due inside the trip window
+// (this function has a loop, so the compiler cannot inline the common
+// no-sample case away).
 func (s *sim) sampleTrip(fc *sched.FuncCode, r *region, entry int, sec int32, pl *PlannedLoop, fromBuf bool, iterBase int64, count int) {
 	last := iterBase + int64(count) - 1
 	for s.pmu.Next() <= last {
 		c := max(s.pmu.Next(), iterBase)
 		pc := int32(entry) + int32(c-iterBase)
 		ops := r.ops(int(pc), int(pc)+1)
+		ahead := r.ops(int(pc)+1, entry+count)
 		if s.rec != nil {
-			s.rec.sample(fc, sec, pc, c, ops, s.shared)
+			s.rec.sample(fc, sec, pc, c, ops, s.shared, ahead)
 		} else {
-			s.acct.sample(fc.F.Name, pl, pc, c, ops, fromBuf, s.shared)
+			s.acct.sample(fc.F.Name, pl, pc, c, ops, fromBuf, s.shared, ahead)
 		}
 		s.pmu.Fire(c)
 	}

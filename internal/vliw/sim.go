@@ -389,12 +389,13 @@ func foldStats(reg *obs.Registry, st *Stats) {
 // fetch/redirect counters, on top of the plan-independent counts
 // shared, become one counter-track point. Shared by the interpretive
 // per-bundle hook, the region runner's analytic catch-up (sampleTrip)
-// and the fold, so attribution is bit-identical on every path — the
-// differential PMU tests pin that. Counter-track values are cumulative
-// as of the account's current bookkeeping, which the fast path
-// advances per trip rather than per bundle; the attribution samples
-// are exact either way, the series is sampled by construction.
-func (a *account) sample(fn string, pl *PlannedLoop, pc int32, cycle, ops int64, fromBuffer bool, shared sharedCounts) {
+// and the fold, so attribution and series are bit-identical on every
+// path — the differential PMU tests pin both. The point counts the ops
+// issued through the sampled bundle: ahead is how many ops of later
+// bundles the counts already hold (the rest of a region trip, which
+// the fast path accounts at once, issued under the sample's fetch
+// verdict); the per-bundle hook passes 0.
+func (a *account) sample(fn string, pl *PlannedLoop, pc int32, cycle, ops int64, fromBuffer bool, shared sharedCounts, ahead int64) {
 	if a.prof == nil {
 		return
 	}
@@ -409,9 +410,11 @@ func (a *account) sample(fn string, pl *PlannedLoop, pc int32, cycle, ops int64,
 		}
 	}
 	a.prof.Record(fn, loopKey, loopLabel, pc, st, ops)
-	issued := a.stats.OpsIssued + shared.issued
-	a.prof.Observe(cycle, a.stats.OpsFromBuffer, issued-a.stats.OpsFromBuffer,
-		a.stats.BranchPenaltyCycles+shared.penalty)
+	issued, fromBuf := a.stats.OpsIssued+shared.issued-ahead, a.stats.OpsFromBuffer
+	if fromBuffer {
+		fromBuf -= ahead
+	}
+	a.prof.Observe(cycle, fromBuf, issued-fromBuf, a.stats.BranchPenaltyCycles+shared.penalty)
 }
 
 // wheelSize returns the writeback-wheel size for a latency table: the
@@ -783,7 +786,7 @@ func (s *sim) exec(f *frame, pc int) (int64, error) {
 				s.rec.outside()
 			}
 			if sample {
-				s.rec.sample(fc, sec, int32(pc), s.now, nOps, s.shared)
+				s.rec.sample(fc, sec, int32(pc), s.now, nOps, s.shared, 0)
 			}
 		} else if a := s.acct; sample || a.ring != nil || a.buf.streaming() ||
 			(pc < len(fx.tab) && fx.tab[pc] >= 0) {
@@ -841,7 +844,7 @@ func (s *sim) fetchBundle(fc *sched.FuncCode, fx *funcCtx, pc int, nOps int64, s
 			Func: fc.F.Name, PC: int32(pc), Arg: nOps, Aux: aux})
 	}
 	if sample {
-		a.sample(fc.F.Name, a.buf.loop(i), int32(pc), s.now, nOps, fromBuffer, s.shared)
+		a.sample(fc.F.Name, a.buf.loop(i), int32(pc), s.now, nOps, fromBuffer, s.shared, 0)
 	}
 }
 

@@ -91,7 +91,10 @@ type traceSample struct {
 	cycle  int64
 	ops    int64
 	shared sharedCounts
-	pc     int32
+	// ahead is the ops of the sampled bundle's region trip after it,
+	// which shared and the trip's fetch already count.
+	ahead int64
+	pc    int32
 	// sec is the loop section holding the sampled bundle (-1: none).
 	sec int32
 }
@@ -207,11 +210,12 @@ func (r *recorder) exit() {
 }
 
 // sample records a PMU sample at bundle pc of fc (in loop section sec,
-// -1 for none) at cycle, of a bundle issuing ops.
-func (r *recorder) sample(fc *sched.FuncCode, sec, pc int32, cycle, ops int64, shared sharedCounts) {
+// -1 for none) at cycle, of a bundle issuing ops, with ahead ops of its
+// trip after it already counted (account.sample).
+func (r *recorder) sample(fc *sched.FuncCode, sec, pc int32, cycle, ops int64, shared sharedCounts, ahead int64) {
 	r.put(evSample, int64(len(r.samples)))
 	r.samples = append(r.samples, traceSample{fn: fc.F.Name, cycle: cycle, ops: ops,
-		shared: shared, pc: pc, sec: sec})
+		shared: shared, ahead: ahead, pc: pc, sec: sec})
 }
 
 // Execution is one plan-free run of a scheduled program: its
